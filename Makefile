@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke faults-smoke zoo-smoke shard-smoke smoke docs-check benchmarks experiments
+.PHONY: test campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke faults-smoke zoo-smoke shard-smoke smoke docs-check bench-check benchmarks experiments
 
 # -W error promotes every warning to a failure; the lone ignore shields
 # the suite from a deprecation raised inside third-party plugin hooks.
@@ -119,6 +119,12 @@ smoke: campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke fa
 # (tests/test_docs_snippets.py); keeps the documented examples honest.
 docs-check:
 	$(PYTHON) -m pytest tests/test_docs_snippets.py -q
+
+# The repository benchmark's self-tests (perfbench/NOTES.md): its
+# workloads wrap program functions by name, so a rename in src/ that
+# breaks a wrapper fails here (about 30 s).
+bench-check:
+	python3 -m pytest -q perfbench/tests
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

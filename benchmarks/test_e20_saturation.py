@@ -170,13 +170,15 @@ async def _tcp_workload() -> dict:
         finally:
             await client.close()
             cluster.terminate_all()
-        sig_hits = frames_v2 = 0
+        sig_hits = frames_received = 0
         for path in sorted(Path(workdir, "metrics").glob("node-*.jsonl")):
             run = read_run_jsonl(path)
             sig_hits += run.metrics.counter_total(
                 MODULE_SIGNATURE, "sig_cache_hits"
             )
-            frames_v2 += run.metrics.counter_total(MODULE_NET, "frames_v2")
+            frames_received += run.metrics.counter_total(
+                MODULE_NET, "frames_received"
+            )
     return {
         "replicas": 4,
         "requests": TCP_REQUESTS,
@@ -186,7 +188,7 @@ async def _tcp_workload() -> dict:
         "wall_seconds": round(wall, 4),
         "ops_per_second": round(committed / wall, 4),
         "replica_sig_cache_hits": sig_hits,
-        "replica_frames_v2": frames_v2,
+        "replica_frames_received": frames_received,
     }
 
 
@@ -250,7 +252,7 @@ def test_e20_saturation(benchmark):
     print(
         f"tcp: {tcp['committed']} commits in {tcp['wall_seconds']:.2f}s "
         f"({tcp['ops_per_second']:.0f} ops/s, "
-        f"{tcp['replica_frames_v2']} v2 frames, "
+        f"{tcp['replica_frames_received']} frames received, "
         f"{tcp['replica_sig_cache_hits']} replica cache hits)"
     )
     ARTIFACT.write_text(
@@ -289,8 +291,8 @@ def test_e20_saturation(benchmark):
     # with byte-identical committed work on both sides.
     assert delta["identical_commits"], delta
     assert delta["speedup"] >= 2.0, delta
-    # The TCP path really pushed v2 frames through real sockets and the
+    # The TCP path really pushed frames through real sockets and the
     # replicas really hit their verification caches.
     assert tcp["committed"] >= TCP_REQUESTS
-    assert tcp["replica_frames_v2"] > 0
+    assert tcp["replica_frames_received"] > 0
     assert tcp["replica_sig_cache_hits"] > 0

@@ -458,12 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="run a Byzantine transformed-attack engine on this replica",
     )
-    n_replica.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="run on uvloop if installed (REPRO_UVLOOP=1 works too); "
-        "falls back to stock asyncio with a note when it is not",
-    )
 
     n_client = net_sub.add_parser(
         "client", help="talk to a running cluster as a client"
@@ -1347,12 +1341,6 @@ def cmd_net(args: argparse.Namespace) -> int:
         run_cluster_smoke,
         serve_replica,
     )
-    from repro.net.loop import install_event_loop
-
-    install_event_loop(
-        uvloop_flag=getattr(args, "uvloop", False),
-        announce=lambda note: print(f"note: {note}", file=sys.stderr),
-    )
 
     if args.net_command == "keygen":
         if args.base_port:
@@ -1450,7 +1438,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
     import json
 
     from repro.net.cluster import free_port
-    from repro.net.loop import install_event_loop
     from repro.shard import (
         ShardGenesis,
         ShardedNetClient,
@@ -1458,10 +1445,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
         run_shard_smoke,
         shard_of,
         smoke_json,
-    )
-
-    install_event_loop(
-        announce=lambda note: print(f"note: {note}", file=sys.stderr),
     )
 
     if args.shard_command == "keygen":

@@ -82,8 +82,6 @@ class LoopbackHub:
         self.frames_delivered = 0
         self.frames_dropped = 0
         self.frames_rejected = 0
-        #: wire version -> frames delivered under it (codec observability).
-        self.frames_by_version: dict[int, int] = {}
 
     def register(self, pid: int, handler: MessageHandler) -> "LoopbackTransport":
         if pid in self._handlers:
@@ -127,10 +125,6 @@ class LoopbackHub:
                     self.frames_rejected += 1
                     continue
                 self.frames_delivered += 1
-                version = frame[2]  # the byte after the 2-byte magic
-                self.frames_by_version[version] = (
-                    self.frames_by_version.get(version, 0) + 1
-                )
                 handler(src, message)
         finally:
             self._dispatching = False
@@ -317,16 +311,11 @@ class PeerTransport:
                 data = await reader.read(READ_CHUNK)
                 if not data:
                     return
-                before = dict(assembler.decoded_by_version)
                 try:
                     messages = assembler.feed(data)
                 except WireError:
                     self._metrics.inc("frames_rejected")
                     return
-                for version, count in assembler.decoded_by_version.items():
-                    delta = count - before.get(version, 0)
-                    if delta:
-                        self._metrics.inc(f"frames_v{version}", delta)
                 for message in messages:
                     if peer is None:
                         # First frame must be a valid Hello; anything

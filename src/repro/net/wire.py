@@ -1,43 +1,29 @@
-"""The versioned, length-prefixed wire codec of the net runtime.
+"""The length-prefixed binary wire codec of the net runtime.
 
 The simulator hands Python objects between processes by reference; a real
-deployment (docs/NET.md) must serialise them. The codec reuses the exact
-tag-length-value vocabulary of :mod:`repro.crypto.encoding` — the scheme
-every signature in the system is computed over — and extends it with one
-tag the crypto encoding deliberately lacks: ``R``, a *registered type*,
-which round-trips the message dataclasses faithfully instead of lossily
-(``canonical()`` flattens objects for hashing; the wire must rebuild
-them).
+deployment (docs/NET.md) must serialise them. Every message travels as one
+frame::
 
-Frame layout::
+    +--------+--------+----------------------+---------+
+    | b"RB"  |  0x02  |  payload length (u32)| payload |
+    |  2 B   |  1 B   |     big-endian       |   ...   |
+    +--------+--------+----------------------+---------+
 
-    +--------+---------+----------------------+---------+
-    | b"RB"  | version |  payload length (u32)| payload |
-    |  2 B   |   1 B   |     big-endian       |   ...   |
-    +--------+---------+----------------------+---------+
-
-Two payload versions live behind that header (docs/PERFORMANCE.md):
-
-* **v1** — the original TLV payload: one-letter ASCII tags, u64 lengths,
-  integers as decimal strings. Verbose but directly mirrors the
-  canonical signing encoding. Kept as the compatibility fallback.
-* **v2** — the compact binary payload (the default): single-byte tags,
-  zigzag-varint integers, raw IEEE-754 doubles, varint length prefixes,
-  count-prefixed containers. Typically 2–3× smaller than v1 on signed
-  certificate traffic, and decoded by slicing one shared
-  :class:`memoryview` cursor — no per-node buffer copies.
-
-A receiver accepts every version in :data:`SUPPORTED_VERSIONS`
-regardless of what it sends, so mixed-version clusters interoperate;
-:class:`FrameAssembler` counts decoded frames per version for the
-``frames_v1``/``frames_v2`` transport metrics.
+The payload is a compact binary encoding: single-byte tags, zigzag-varint
+integers, raw IEEE-754 doubles, varint length prefixes and count-prefixed
+containers, decoded by slicing one shared :class:`memoryview` cursor — no
+per-node buffer copies. Besides the plain values it carries *registered
+types* (tag ``0x0A``), which round-trip the message dataclasses faithfully
+instead of lossily (``canonical()`` flattens objects for hashing; the wire
+must rebuild them). The byte after the magic names this one payload format;
+a frame carrying any other value is rejected.
 
 Robustness contract: **every** malformed input — truncated, oversized,
-wrong magic, wrong version, tampered payload, unknown type, hostile
+wrong magic, wrong format byte, tampered payload, unknown type, hostile
 nesting depth — raises :class:`WireError` (a :class:`~repro.errors.
 ReproError`) and nothing else. Transports count these as rejections;
 nothing on the wire may crash or hang a node
-(``tests/test_net_wire.py`` fuzzes exactly this, for both versions).
+(``tests/test_net_wire.py`` fuzzes exactly this).
 """
 
 from __future__ import annotations
@@ -46,7 +32,6 @@ import dataclasses
 import struct
 from typing import Any, Callable
 
-from repro.crypto.encoding import canonical_bytes
 from repro.errors import ReproError
 
 
@@ -54,27 +39,18 @@ class WireError(ReproError):
     """A frame or payload violates the wire format (always a rejection)."""
 
 
-#: Frame magic; the byte after it selects the payload version.
+#: Frame magic.
 MAGIC = b"RB"
-#: The original TLV payload version (historical name kept for callers).
-VERSION = 1
-#: The compact binary payload version.
-VERSION_BINARY = 2
-#: Payload versions this node decodes.
-SUPPORTED_VERSIONS = (VERSION, VERSION_BINARY)
-#: Payload version used for encoding unless a caller pins one.
-DEFAULT_VERSION = VERSION_BINARY
+#: The header byte after the magic: the one payload format this codec speaks.
+FORMAT = 2
 HEADER = struct.Struct(">2sBI")
 #: Ceiling on one frame's payload: bounds memory against hostile length
 #: prefixes while leaving room for full state-transfer snapshots.
 MAX_FRAME = 8 * 1024 * 1024
-#: Ceiling on TLV nesting: certificates nest a few levels; a hostile
+#: Ceiling on payload nesting: certificates nest a few levels; a hostile
 #: payload must not recurse the decoder into a stack overflow.
 MAX_DEPTH = 64
-#: Ceiling on the decimal-digit length of one encoded integer.
-MAX_INT_DIGITS = 4096
-#: Ceiling on one v2 varint's byte length (≈ 4700 decimal digits —
-#: the same order of magnitude as MAX_INT_DIGITS bounds for v1).
+#: Ceiling on one varint's byte length (≈ 4700 decimal digits).
 MAX_VARINT_BYTES = 2048
 
 #: name -> (class, to_fields, from_fields); class -> (name, to_fields).
@@ -89,7 +65,7 @@ def register_wire_type(
     to_fields: Callable[[Any], tuple] | None = None,
     from_fields: Callable[[tuple], Any] | None = None,
 ) -> type:
-    """Register ``cls`` for faithful wire round-trips under tag ``R``.
+    """Register ``cls`` for faithful wire round-trips as a registered type.
 
     Dataclasses need no adapters: their declared field order is the wire
     field order and the constructor rebuilds them. Non-dataclasses (or
@@ -119,130 +95,7 @@ def register_wire_type(
     return cls
 
 
-def _tlv(tag: bytes, payload: bytes) -> bytes:
-    # Same layout as repro.crypto.encoding._tlv: tag, u64 length, payload.
-    return tag + len(payload).to_bytes(8, "big") + payload
-
-
-def _encode(value: Any, depth: int) -> bytes:
-    if depth > MAX_DEPTH:
-        raise WireError("payload nesting exceeds the depth ceiling")
-    if value is None or isinstance(value, (bool, float, str, bytes)):
-        return canonical_bytes(value)
-    if isinstance(value, int):
-        if len(str(value)) > MAX_INT_DIGITS:
-            raise WireError("integer exceeds the digit ceiling")
-        return canonical_bytes(value)
-    registered = _BY_TYPE.get(type(value))
-    if registered is not None:
-        wire_name, to_fields = registered
-        body = _encode(wire_name, depth + 1) + _encode(
-            tuple(to_fields(value)), depth + 1
-        )
-        return _tlv(b"R", body)
-    if isinstance(value, (tuple, list)):
-        return _tlv(b"T", b"".join(_encode(item, depth + 1) for item in value))
-    if isinstance(value, dict):
-        items = sorted(
-            (_encode(key, depth + 1), _encode(val, depth + 1))
-            for key, val in value.items()
-        )
-        return _tlv(b"D", b"".join(key + val for key, val in items))
-    if isinstance(value, (set, frozenset)):
-        return _tlv(
-            b"E", b"".join(sorted(_encode(item, depth + 1) for item in value))
-        )
-    raise WireError(f"type {type(value).__name__} is not wire-encodable")
-
-
-def _decode(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, int]:
-    if depth > MAX_DEPTH:
-        raise WireError("payload nesting exceeds the depth ceiling")
-    if pos + 9 > end:
-        raise WireError("truncated TLV header")
-    tag = bytes(buf[pos : pos + 1])
-    length = int.from_bytes(buf[pos + 1 : pos + 9], "big")
-    start = pos + 9
-    stop = start + length
-    if length > end - start:
-        raise WireError("TLV length exceeds the enclosing payload")
-    body = buf[start:stop]
-    if tag == b"N":
-        if length:
-            raise WireError("non-empty None")
-        return None, stop
-    if tag == b"B":
-        if length != 1 or bytes(body) not in (b"\x00", b"\x01"):
-            raise WireError("malformed bool")
-        return bytes(body) == b"\x01", stop
-    if tag == b"I":
-        if length > MAX_INT_DIGITS:
-            raise WireError("integer exceeds the digit ceiling")
-        try:
-            return int(bytes(body).decode("ascii")), stop
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise WireError(f"malformed int: {exc}") from exc
-    if tag == b"F":
-        try:
-            return float.fromhex(bytes(body).decode("ascii")), stop
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise WireError(f"malformed float: {exc}") from exc
-    if tag == b"S":
-        try:
-            return bytes(body).decode("utf-8"), stop
-        except UnicodeDecodeError as exc:
-            raise WireError(f"malformed str: {exc}") from exc
-    if tag == b"Y":
-        return bytes(body), stop
-    if tag == b"T":
-        items = []
-        cursor = start
-        while cursor < stop:
-            item, cursor = _decode(buf, cursor, stop, depth + 1)
-            items.append(item)
-        return tuple(items), stop
-    if tag == b"D":
-        mapping: dict[Any, Any] = {}
-        cursor = start
-        while cursor < stop:
-            key, cursor = _decode(buf, cursor, stop, depth + 1)
-            value, cursor = _decode(buf, cursor, stop, depth + 1)
-            try:
-                mapping[key] = value
-            except TypeError as exc:
-                raise WireError(f"unhashable dict key: {exc}") from exc
-        return mapping, stop
-    if tag == b"E":
-        members = []
-        cursor = start
-        while cursor < stop:
-            member, cursor = _decode(buf, cursor, stop, depth + 1)
-            members.append(member)
-        try:
-            return frozenset(members), stop
-        except TypeError as exc:
-            raise WireError(f"unhashable set member: {exc}") from exc
-    if tag == b"R":
-        wire_name, cursor = _decode(buf, start, stop, depth + 1)
-        if not isinstance(wire_name, str):
-            raise WireError("registered-type name is not a string")
-        fields, cursor = _decode(buf, cursor, stop, depth + 1)
-        if cursor != stop or not isinstance(fields, tuple):
-            raise WireError(f"malformed registered type {wire_name!r}")
-        entry = _BY_NAME.get(wire_name)
-        if entry is None:
-            raise WireError(f"unknown wire type {wire_name!r}")
-        cls, _to_fields, from_fields = entry
-        try:
-            return from_fields(fields), stop
-        except WireError:
-            raise
-        except Exception as exc:
-            raise WireError(f"cannot rebuild {wire_name}: {exc}") from exc
-    raise WireError(f"unknown TLV tag {tag!r}")
-
-
-# -- the v2 compact binary payload ------------------------------------------
+# -- the payload encoding ----------------------------------------------------
 #
 # Single-byte tags; varint(n) is base-128 little-endian with the high bit
 # as the continuation flag; zigzag maps signed to unsigned before the
@@ -250,17 +103,17 @@ def _decode(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, int]:
 # the decoder walks a single cursor over one memoryview of the receive
 # buffer and copies bytes only at str/bytes leaves.
 
-_T2_NONE = 0x00
-_T2_FALSE = 0x01
-_T2_TRUE = 0x02
-_T2_INT = 0x03
-_T2_FLOAT = 0x04
-_T2_STR = 0x05
-_T2_BYTES = 0x06
-_T2_TUPLE = 0x07
-_T2_DICT = 0x08
-_T2_SET = 0x09
-_T2_REG = 0x0A
+_T_NONE = 0x00
+_T_FALSE = 0x01
+_T_TRUE = 0x02
+_T_INT = 0x03
+_T_FLOAT = 0x04
+_T_STR = 0x05
+_T_BYTES = 0x06
+_T_TUPLE = 0x07
+_T_DICT = 0x08
+_T_SET = 0x09
+_T_REG = 0x0A
 
 _F64 = struct.Struct(">d")
 
@@ -302,33 +155,33 @@ def _unzigzag(value: int) -> int:
     return value // 2 if value % 2 == 0 else -(value // 2) - 1
 
 
-def _encode_v2(out: bytearray, value: Any, depth: int) -> None:
+def _encode(out: bytearray, value: Any, depth: int) -> None:
     if depth > MAX_DEPTH:
         raise WireError("payload nesting exceeds the depth ceiling")
     if value is None:
-        out.append(_T2_NONE)
+        out.append(_T_NONE)
         return
     if isinstance(value, bool):  # must precede int: bool is an int subclass
-        out.append(_T2_TRUE if value else _T2_FALSE)
+        out.append(_T_TRUE if value else _T_FALSE)
         return
     if isinstance(value, int):
         if value.bit_length() > 7 * MAX_VARINT_BYTES - 1:
             raise WireError("integer exceeds the varint ceiling")
-        out.append(_T2_INT)
+        out.append(_T_INT)
         _write_varint(out, _zigzag(value))
         return
     if isinstance(value, float):
-        out.append(_T2_FLOAT)
+        out.append(_T_FLOAT)
         out += _F64.pack(value)
         return
     if isinstance(value, str):
         encoded = value.encode("utf-8")
-        out.append(_T2_STR)
+        out.append(_T_STR)
         _write_varint(out, len(encoded))
         out += encoded
         return
     if isinstance(value, bytes):
-        out.append(_T2_BYTES)
+        out.append(_T_BYTES)
         _write_varint(out, len(value))
         out += value
         return
@@ -336,30 +189,30 @@ def _encode_v2(out: bytearray, value: Any, depth: int) -> None:
     if registered is not None:
         wire_name, to_fields = registered
         name = wire_name.encode("utf-8")
-        out.append(_T2_REG)
+        out.append(_T_REG)
         _write_varint(out, len(name))
         out += name
         fields = tuple(to_fields(value))
         _write_varint(out, len(fields))
         for field in fields:
-            _encode_v2(out, field, depth + 1)
+            _encode(out, field, depth + 1)
         return
     if isinstance(value, (tuple, list)):
-        out.append(_T2_TUPLE)
+        out.append(_T_TUPLE)
         _write_varint(out, len(value))
         for item in value:
-            _encode_v2(out, item, depth + 1)
+            _encode(out, item, depth + 1)
         return
     if isinstance(value, dict):
-        # Canonically sorted by encoded key, exactly like v1's D tag.
+        # Canonically sorted by encoded key.
         items = []
         for key, val in value.items():
             key_out = bytearray()
-            _encode_v2(key_out, key, depth + 1)
+            _encode(key_out, key, depth + 1)
             val_out = bytearray()
-            _encode_v2(val_out, val, depth + 1)
+            _encode(val_out, val, depth + 1)
             items.append((bytes(key_out), bytes(val_out)))
-        out.append(_T2_DICT)
+        out.append(_T_DICT)
         _write_varint(out, len(items))
         for key_bytes, val_bytes in sorted(items):
             out += key_bytes
@@ -369,9 +222,9 @@ def _encode_v2(out: bytearray, value: Any, depth: int) -> None:
         members = []
         for item in value:
             item_out = bytearray()
-            _encode_v2(item_out, item, depth + 1)
+            _encode(item_out, item, depth + 1)
             members.append(bytes(item_out))
-        out.append(_T2_SET)
+        out.append(_T_SET)
         _write_varint(out, len(members))
         for member in sorted(members):
             out += member
@@ -389,64 +242,64 @@ def _read_count(buf: memoryview, pos: int, end: int) -> tuple[int, int]:
     return count, pos
 
 
-def _decode_v2(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, int]:
+def _decode(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, int]:
     if depth > MAX_DEPTH:
         raise WireError("payload nesting exceeds the depth ceiling")
     if pos >= end:
         raise WireError("truncated payload")
     tag = buf[pos]
     pos += 1
-    if tag == _T2_NONE:
+    if tag == _T_NONE:
         return None, pos
-    if tag == _T2_FALSE:
+    if tag == _T_FALSE:
         return False, pos
-    if tag == _T2_TRUE:
+    if tag == _T_TRUE:
         return True, pos
-    if tag == _T2_INT:
+    if tag == _T_INT:
         raw, pos = _read_varint(buf, pos, end)
         return _unzigzag(raw), pos
-    if tag == _T2_FLOAT:
+    if tag == _T_FLOAT:
         if pos + 8 > end:
             raise WireError("truncated float")
         return _F64.unpack_from(buf, pos)[0], pos + 8
-    if tag == _T2_STR:
+    if tag == _T_STR:
         length, pos = _read_count(buf, pos, end)
         try:
             return bytes(buf[pos : pos + length]).decode("utf-8"), pos + length
         except UnicodeDecodeError as exc:
             raise WireError(f"malformed str: {exc}") from exc
-    if tag == _T2_BYTES:
+    if tag == _T_BYTES:
         length, pos = _read_count(buf, pos, end)
         return bytes(buf[pos : pos + length]), pos + length
-    if tag == _T2_TUPLE:
+    if tag == _T_TUPLE:
         count, pos = _read_count(buf, pos, end)
         items = []
         for _ in range(count):
-            item, pos = _decode_v2(buf, pos, end, depth + 1)
+            item, pos = _decode(buf, pos, end, depth + 1)
             items.append(item)
         return tuple(items), pos
-    if tag == _T2_DICT:
+    if tag == _T_DICT:
         count, pos = _read_count(buf, pos, end)
         mapping: dict[Any, Any] = {}
         for _ in range(count):
-            key, pos = _decode_v2(buf, pos, end, depth + 1)
-            value, pos = _decode_v2(buf, pos, end, depth + 1)
+            key, pos = _decode(buf, pos, end, depth + 1)
+            value, pos = _decode(buf, pos, end, depth + 1)
             try:
                 mapping[key] = value
             except TypeError as exc:
                 raise WireError(f"unhashable dict key: {exc}") from exc
         return mapping, pos
-    if tag == _T2_SET:
+    if tag == _T_SET:
         count, pos = _read_count(buf, pos, end)
         members = []
         for _ in range(count):
-            member, pos = _decode_v2(buf, pos, end, depth + 1)
+            member, pos = _decode(buf, pos, end, depth + 1)
             members.append(member)
         try:
             return frozenset(members), pos
         except TypeError as exc:
             raise WireError(f"unhashable set member: {exc}") from exc
-    if tag == _T2_REG:
+    if tag == _T_REG:
         length, pos = _read_count(buf, pos, end)
         try:
             wire_name = bytes(buf[pos : pos + length]).decode("utf-8")
@@ -459,7 +312,7 @@ def _decode_v2(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, in
         count, pos = _read_count(buf, pos, end)
         fields = []
         for _ in range(count):
-            field, pos = _decode_v2(buf, pos, end, depth + 1)
+            field, pos = _decode(buf, pos, end, depth + 1)
             fields.append(field)
         _cls, _to_fields, from_fields = entry
         try:
@@ -468,30 +321,21 @@ def _decode_v2(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, in
             raise
         except Exception as exc:
             raise WireError(f"cannot rebuild {wire_name}: {exc}") from exc
-    raise WireError(f"unknown v2 tag {tag:#04x}")
+    raise WireError(f"unknown payload tag {tag:#04x}")
 
 
-def encode_payload(value: Any, version: int = VERSION) -> bytes:
+def encode_payload(value: Any) -> bytes:
     """Encode one message to payload bytes (no frame header)."""
-    if version == VERSION:
-        return _encode(value, 0)
-    if version == VERSION_BINARY:
-        out = bytearray()
-        _encode_v2(out, value, 0)
-        return bytes(out)
-    raise WireError(f"unsupported wire version {version}")
+    out = bytearray()
+    _encode(out, value, 0)
+    return bytes(out)
 
 
-def decode_payload(data: bytes | memoryview, version: int = VERSION) -> Any:
+def decode_payload(data: bytes | memoryview) -> Any:
     """Decode one payload; any malformation raises :class:`WireError`."""
     buf = data if isinstance(data, memoryview) else memoryview(data)
     try:
-        if version == VERSION:
-            value, pos = _decode(buf, 0, len(buf), 0)
-        elif version == VERSION_BINARY:
-            value, pos = _decode_v2(buf, 0, len(buf), 0)
-        else:
-            raise WireError(f"unsupported wire version {version}")
+        value, pos = _decode(buf, 0, len(buf), 0)
     except WireError:
         raise
     except Exception as exc:  # belt and braces: hostile input never crashes
@@ -501,30 +345,36 @@ def decode_payload(data: bytes | memoryview, version: int = VERSION) -> Any:
     return value
 
 
-def encode_frame(value: Any, version: int = DEFAULT_VERSION) -> bytes:
-    """Encode one message to a complete wire frame.
-
-    ``version`` selects the payload encoding (default: the compact
-    binary v2); any supported receiver decodes either.
-    """
-    payload = encode_payload(value, version=version)
+def encode_frame(value: Any) -> bytes:
+    """Encode one message to a complete wire frame."""
+    payload = encode_payload(value)
     if len(payload) > MAX_FRAME:
         raise WireError(
             f"frame payload of {len(payload)} bytes exceeds MAX_FRAME"
         )
-    return HEADER.pack(MAGIC, version, len(payload)) + payload
+    return HEADER.pack(MAGIC, FORMAT, len(payload)) + payload
+
+
+def _payload_length(data: bytes | bytearray) -> int:
+    """Check the frame header at the start of ``data``; its payload length."""
+    magic, fmt, length = HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise WireError(f"bad frame magic {magic!r}")
+    if fmt != FORMAT:
+        raise WireError(f"unsupported wire format {fmt}")
+    if length > MAX_FRAME:
+        raise WireError(f"oversized frame: {length} bytes declared")
+    return length
 
 
 def decode_frame(data: bytes) -> Any:
     """Decode exactly one complete frame (loopback / tests)."""
-    assembler = FrameAssembler()
-    messages = assembler.feed(data)
-    if len(messages) != 1 or assembler.buffered:
-        raise WireError(
-            f"expected exactly one frame, got {len(messages)} plus "
-            f"{assembler.buffered} trailing bytes"
-        )
-    return messages[0]
+    if len(data) < HEADER.size:
+        raise WireError(f"truncated frame header: {len(data)} bytes")
+    length = _payload_length(data)
+    if len(data) != HEADER.size + length:
+        raise WireError("frame size does not match its declared length")
+    return decode_payload(memoryview(data)[HEADER.size :])
 
 
 class FrameAssembler:
@@ -538,13 +388,10 @@ class FrameAssembler:
     stream is not attempted).
     """
 
-    __slots__ = ("_buffer", "_max_frame", "decoded_by_version")
+    __slots__ = ("_buffer",)
 
-    def __init__(self, max_frame: int = MAX_FRAME) -> None:
+    def __init__(self) -> None:
         self._buffer = bytearray()
-        self._max_frame = max_frame
-        #: version -> frames successfully decoded (transport metrics).
-        self.decoded_by_version: dict[int, int] = {}
 
     @property
     def buffered(self) -> int:
@@ -554,14 +401,7 @@ class FrameAssembler:
         self._buffer += data
         messages: list[Any] = []
         while len(self._buffer) >= HEADER.size:
-            magic, version, length = HEADER.unpack_from(self._buffer)
-            if magic != MAGIC:
-                raise WireError(f"bad frame magic {magic!r}")
-            if version not in SUPPORTED_VERSIONS:
-                raise WireError(f"unsupported wire version {version}")
-            if length > self._max_frame:
-                raise WireError(f"oversized frame: {length} bytes declared")
-            frame_end = HEADER.size + length
+            frame_end = HEADER.size + _payload_length(self._buffer)
             if len(self._buffer) < frame_end:
                 break  # partial frame: wait for more bytes
             # Zero-copy decode: slice a memoryview of the receive buffer
@@ -570,15 +410,10 @@ class FrameAssembler:
             # then drop the consumed prefix.
             view = memoryview(self._buffer)
             try:
-                message = decode_payload(
-                    view[HEADER.size : frame_end], version=version
-                )
+                message = decode_payload(view[HEADER.size : frame_end])
             finally:
                 view.release()
             del self._buffer[:frame_end]
-            self.decoded_by_version[version] = (
-                self.decoded_by_version.get(version, 0) + 1
-            )
             messages.append(message)
         return messages
 

@@ -201,6 +201,8 @@ class ServiceReplicaProcess(Process):
         self.restarts = 0
         self._transferring = False
         self._transfer_reason = ""
+        #: Certified count that started the current "lag" transfer.
+        self._lag_target = 0
         self._replaying = False
         #: Suffix entries refused during state transfer (forged vector,
         #: missing/invalid justification) — an oracle surface.
@@ -292,6 +294,14 @@ class ServiceReplicaProcess(Process):
             self._batch_timer = False
             self._drain_batches(force=True)
         elif name == "state-retry" and self._transferring:
+            if (
+                self._transfer_reason == "lag"
+                and self.next_apply >= self._lag_target
+            ):
+                # Consensus caught us up first, so no response would count
+                # as progress. Local state only: no responder can end it.
+                self._transferring = False
+                return
             self._broadcast_state_request()
             self.set_timer("state-retry", self.config.transfer_retry)
         elif name == "stall-probe":
@@ -644,6 +654,7 @@ class ServiceReplicaProcess(Process):
             not self._transferring
             and body.count >= self.next_apply + self.config.checkpoint_interval
         ):
+            self._lag_target = body.count
             self._start_state_transfer()
 
     def _adopt_stable(
@@ -990,9 +1001,9 @@ class ServiceReplicaProcess(Process):
             progress
             or (
                 # A probe/join transfer may find the peers have nothing
-                # we lack; stop retrying instead of livelocking. Restart
-                # and lag transfers keep retrying until real progress —
-                # there the replica is behind by construction.
+                # we lack; stop retrying instead of livelocking. Restart,
+                # heal and lag transfers retry until real progress (a lag
+                # transfer also ends once caught up; see on_timer).
                 self._transfer_reason in ("probe", "join")
                 and response.count <= before_apply
             )

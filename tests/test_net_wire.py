@@ -1,11 +1,10 @@
-"""Tests: the versioned wire codec (repro.net.wire).
+"""Tests: the binary wire codec (repro.net.wire).
 
 Round-trips every registered stack type — including deeply nested
-signed/certified messages — through **both** payload versions (v1 TLV
-and the compact binary v2), and then attacks the decoder the way a
-Byzantine peer would: truncation, oversizing, version skew, bit flips,
-random garbage, hostile length/count prefixes. The contract under
-attack is exactly one of two outcomes per input: a clean
+signed/certified messages — and then attacks the decoder the way a
+Byzantine peer would: truncation, oversizing, a foreign format byte,
+bit flips, random garbage, hostile length/count prefixes. The contract
+under attack is exactly one of two outcomes per input: a clean
 :class:`WireError` (counted rejection) or a valid decode. Never another
 exception type, never a hang.
 """
@@ -24,15 +23,12 @@ from repro.errors import ReproError
 from repro.messages.consensus import NULL, VCurrent, VDecide
 from repro.net.messages import Hello, ReadReply, ReadRequest, StatusReply, StatusRequest
 from repro.net.wire import (
-    DEFAULT_VERSION,
+    FORMAT,
     HEADER,
     MAGIC,
     MAX_DEPTH,
     MAX_FRAME,
     MAX_VARINT_BYTES,
-    SUPPORTED_VERSIONS,
-    VERSION,
-    VERSION_BINARY,
     FrameAssembler,
     WireError,
     decode_frame,
@@ -108,52 +104,39 @@ SAMPLES = [
     ),
 ]
 
-VERSIONS = pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
+#: Tests that check one frame format take it as a parameter, so their ids
+#: name the format byte they ran under (``[2]``, ``[Command-2]``).
+FORMATS = pytest.mark.parametrize("fmt", [FORMAT])
 
 
 class TestRoundTrips:
-    @VERSIONS
+    @FORMATS
     @pytest.mark.parametrize("value", SAMPLES, ids=lambda v: type(v).__name__)
-    def test_payload_roundtrip(self, value, version):
-        assert decode_payload(
-            encode_payload(value, version=version), version=version
-        ) == value
+    def test_payload_roundtrip(self, value, fmt):
+        assert decode_payload(encode_payload(value)) == value
 
-    @VERSIONS
+    @FORMATS
     @pytest.mark.parametrize("value", SAMPLES, ids=lambda v: type(v).__name__)
-    def test_frame_roundtrip(self, value, version):
-        assert decode_frame(encode_frame(value, version=version)) == value
+    def test_frame_roundtrip(self, value, fmt):
+        frame = encode_frame(value)
+        assert frame[2] == fmt
+        assert decode_frame(frame) == value
 
-    def test_default_version_is_binary(self):
-        frame = encode_frame(signed_vdecide())
-        assert frame[2] == DEFAULT_VERSION == VERSION_BINARY
-
-    def test_binary_is_more_compact_on_certified_traffic(self):
+    @FORMATS
+    def test_certificate_survives_canonical_ordering(self, fmt):
         message = signed_vdecide()
-        v1 = encode_frame(message, version=VERSION)
-        v2 = encode_frame(message, version=VERSION_BINARY)
-        assert len(v2) < len(v1) / 2
-
-    @VERSIONS
-    def test_certificate_survives_canonical_ordering(self, version):
-        message = signed_vdecide()
-        decoded = decode_frame(encode_frame(message, version=version))
+        decoded = decode_frame(encode_frame(message))
         assert decoded.cert.entries == message.cert.entries
         assert decoded.signature == message.signature
 
-    def test_assembler_reassembles_mixed_version_byte_dribble(self):
-        # Versions alternate per frame: a receiver never negotiates.
-        stream = b"".join(
-            encode_frame(value, version=SUPPORTED_VERSIONS[i % 2])
-            for i, value in enumerate(SAMPLES)
-        )
+    def test_assembler_reassembles_byte_dribble(self):
+        stream = b"".join(encode_frame(value) for value in SAMPLES)
         assembler = FrameAssembler()
         out = []
         for i in range(0, len(stream), 7):
             out.extend(assembler.feed(stream[i : i + 7]))
         assert out == SAMPLES
-        assert sum(assembler.decoded_by_version.values()) == len(SAMPLES)
-        assert set(assembler.decoded_by_version) == set(SUPPORTED_VERSIONS)
+        assert assembler.buffered == 0
 
     def test_register_rejects_duplicate_names(self):
         class Fresh:
@@ -167,80 +150,69 @@ class TestHostileFrames:
     """Satellite: fuzzed malformed frames are rejections, never crashes."""
 
     def assert_rejected_or_decoded(self, data: bytes) -> None:
-        try:
-            decode_frame(data)
-        except WireError:
-            pass  # the only acceptable exception type
+        # Both frame decoders: the one-frame reader and the stream parser.
+        for decode in (decode_frame, FrameAssembler().feed):
+            try:
+                decode(data)
+            except WireError:
+                pass  # the only acceptable exception type
 
-    @VERSIONS
-    def test_truncated_frames(self, version):
-        frame = encode_frame(SAMPLES[-1], version=version)
+    @FORMATS
+    def test_truncated_frames(self, fmt):
+        frame = encode_frame(SAMPLES[-1])
         for cut in range(len(frame)):
             with pytest.raises(WireError):
                 decode_frame(frame[:cut])
 
-    @VERSIONS
-    def test_trailing_garbage(self, version):
-        frame = encode_frame((1, 2, 3), version=version)
+    @FORMATS
+    def test_trailing_garbage(self, fmt):
+        frame = encode_frame((1, 2, 3))
         with pytest.raises(WireError):
             decode_frame(frame + b"\x00")
 
-    @VERSIONS
-    def test_wrong_magic(self, version):
-        frame = bytearray(encode_frame(1, version=version))
+    @FORMATS
+    def test_wrong_magic(self, fmt):
+        frame = bytearray(encode_frame(1))
         frame[0] ^= 0xFF
         with pytest.raises(WireError):
             decode_frame(bytes(frame))
 
     def test_unsupported_version(self):
+        # Any format byte but FORMAT is rejected, the retired v1 (1) too.
         frame = bytearray(encode_frame(1))
-        frame[2] = max(SUPPORTED_VERSIONS) + 1
-        with pytest.raises(WireError):
-            decode_frame(bytes(frame))
-        frame[2] = 0
-        with pytest.raises(WireError):
-            decode_frame(bytes(frame))
-
-    @VERSIONS
-    def test_cross_version_relabeling_is_contained(self, version):
-        # A frame whose version byte is flipped to the *other* supported
-        # version is a payload parsed under the wrong grammar: that must
-        # be a WireError (counted rejection) or a clean decode — nothing
-        # else. This is the cross-version skew a mixed cluster can see
-        # from a buggy or hostile peer.
-        other = [v for v in SUPPORTED_VERSIONS if v != version][0]
-        for value in SAMPLES:
-            frame = bytearray(encode_frame(value, version=version))
-            frame[2] = other
-            self.assert_rejected_or_decoded(bytes(frame))
+        for foreign in (0, 1, 3):
+            frame[2] = foreign
+            with pytest.raises(WireError):
+                decode_frame(bytes(frame))
+            with pytest.raises(WireError):
+                FrameAssembler().feed(bytes(frame))
 
     def test_oversized_declared_length(self):
-        for version in SUPPORTED_VERSIONS:
-            header = HEADER.pack(MAGIC, version, MAX_FRAME + 1)
-            with pytest.raises(WireError):
-                decode_frame(header + b"\x00" * 16)
-            with pytest.raises(WireError):
-                FrameAssembler().feed(header)
+        header = HEADER.pack(MAGIC, FORMAT, MAX_FRAME + 1)
+        with pytest.raises(WireError):
+            decode_frame(header + b"\x00" * 16)
+        with pytest.raises(WireError):
+            FrameAssembler().feed(header)
 
-    @VERSIONS
-    def test_depth_bomb(self, version):
+    @FORMATS
+    def test_depth_bomb(self, fmt):
         value = "leaf"
         for _ in range(MAX_DEPTH + 2):
             value = (value,)
         with pytest.raises(WireError):
-            encode_payload(value, version=version)
+            encode_payload(value)
 
-    @VERSIONS
-    def test_unregistered_type_is_unencodable(self, version):
+    @FORMATS
+    def test_unregistered_type_is_unencodable(self, fmt):
         class Alien:
             pass
 
         with pytest.raises(WireError):
-            encode_payload(Alien(), version=version)
+            encode_payload(Alien())
 
     def test_binary_varint_ceiling(self):
         with pytest.raises(WireError):
-            encode_payload(1 << (7 * MAX_VARINT_BYTES + 7), version=VERSION_BINARY)
+            encode_payload(1 << (7 * MAX_VARINT_BYTES + 7))
 
     def test_binary_hostile_count_prefix(self):
         # A tuple declaring 2**40 items inside a 16-byte payload must be
@@ -253,50 +225,48 @@ class TestHostileFrames:
             payload.append(low | 0x80 if n else low)
             if not n:
                 break
-        frame = HEADER.pack(MAGIC, VERSION_BINARY, len(payload)) + bytes(payload)
+        frame = HEADER.pack(MAGIC, FORMAT, len(payload)) + bytes(payload)
         with pytest.raises(WireError):
             decode_frame(frame)
 
     def test_binary_unknown_tag(self):
-        frame = HEADER.pack(MAGIC, VERSION_BINARY, 1) + b"\xee"
+        frame = HEADER.pack(MAGIC, FORMAT, 1) + b"\xee"
         with pytest.raises(WireError):
             decode_frame(frame)
 
-    @VERSIONS
-    def test_every_single_bitflip_is_contained(self, version):
-        frame = bytearray(encode_frame(SAMPLES[-1], version=version))
+    @FORMATS
+    def test_every_single_bitflip_is_contained(self, fmt):
+        frame = bytearray(encode_frame(SAMPLES[-1]))
         for pos in range(len(frame)):
             for bit in (0x01, 0x80):
                 mutated = bytearray(frame)
                 mutated[pos] ^= bit
                 self.assert_rejected_or_decoded(bytes(mutated))
 
-    @VERSIONS
-    def test_random_tampering_fuzz(self, version):
+    @FORMATS
+    def test_random_tampering_fuzz(self, fmt):
         rng = random.Random(42)
-        frames = [
-            bytearray(encode_frame(value, version=version)) for value in SAMPLES
-        ]
+        frames = [bytearray(encode_frame(value)) for value in SAMPLES]
         for trial in range(400):
             frame = bytearray(rng.choice(frames))
             for _ in range(rng.randint(1, 9)):
                 frame[rng.randrange(len(frame))] = rng.randrange(256)
             self.assert_rejected_or_decoded(bytes(frame))
 
-    @VERSIONS
-    def test_random_garbage_fuzz(self, version):
+    @FORMATS
+    def test_random_garbage_fuzz(self, fmt):
         rng = random.Random(7)
         for trial in range(400):
             blob = bytes(rng.randrange(256) for _ in range(rng.randint(0, 64)))
             self.assert_rejected_or_decoded(blob)
             self.assert_rejected_or_decoded(
-                HEADER.pack(MAGIC, version, len(blob)) + blob
+                HEADER.pack(MAGIC, fmt, len(blob)) + blob
             )
 
-    @VERSIONS
-    def test_assembler_survives_tampered_stream_then_raises(self, version):
-        good = encode_frame("before", version=version)
-        bad = bytearray(encode_frame("after", version=version))
+    @FORMATS
+    def test_assembler_survives_tampered_stream_then_raises(self, fmt):
+        good = encode_frame("before")
+        bad = bytearray(encode_frame("after"))
         bad[0] ^= 0xFF  # corrupt the magic of the second frame
         assembler = FrameAssembler()
         with pytest.raises(WireError):
@@ -325,7 +295,7 @@ def _payloads() -> st.SearchStrategy:
 
 
 class TestCodecProperties:
-    """Hypothesis properties of the v2 binary primitives.
+    """Hypothesis properties of the binary primitives.
 
     The fuzz classes above throw *random* bytes at the decoder; these
     pin the algebraic contracts of the primitives themselves — zigzag
@@ -372,15 +342,15 @@ class TestCodecProperties:
     def test_payload_decode_flags_bytes_past_the_declared_value(
         self, value, junk
     ):
-        payload = encode_payload(value, version=VERSION_BINARY)
+        payload = encode_payload(value)
         with pytest.raises(WireError):
-            decode_payload(payload + junk, version=VERSION_BINARY)
+            decode_payload(payload + junk)
 
     @given(_payloads(), st.binary(max_size=HEADER.size - 1))
     def test_frame_decode_never_reads_past_the_declared_length(
         self, value, junk
     ):
-        frame = encode_frame(value, version=VERSION_BINARY)
+        frame = encode_frame(value)
         assembler = FrameAssembler()
         messages = assembler.feed(frame + junk)
         assert len(messages) == 1

@@ -20,7 +20,9 @@ from repro.crypto.keys import KeyAuthority
 from repro.crypto.signatures import SignatureScheme
 from repro.messages.consensus import NULL, VCurrent, VDecide
 from repro.service import ServiceConfig, build_service_system
+from repro.service.checkpoint import service_digest
 from repro.service.messages import StateResponse
+from repro.sim.network import LinkModel
 
 
 def make_replica(seed=9):
@@ -174,3 +176,53 @@ class TestTransferReplay:
         assert replica.next_apply == 0
         assert replica.suffix_rejections == 1
         assert not replica.state_transfers_completed
+
+
+class TestLagTransferEnds:
+    def test_lag_transfer_overtaken_by_consensus_stops_retrying(self):
+        # Seed 95 draws a schedule where the restarted replica starts a
+        # "lag" transfer and then catches up through consensus before any
+        # state response makes progress. The transfer must still end, so
+        # the world goes quiescent instead of re-requesting state forever.
+        config = ServiceConfig(
+            n_replicas=4,
+            n_clients=16,
+            mode="open",
+            rate=0.02,
+            requests_per_client=16,
+            batch_size=1,
+            window=1,
+            checkpoint_interval=4,
+            key_space=64,
+            seed=95,
+        )
+        system = build_service_system(
+            config,
+            recoveries=((2, 320.0, 400.0),),
+            link_model=LinkModel(loss=0.02, reorder=0.02),
+            transport="reliable",
+        )
+        result = system.run(max_time=3200)
+        lag_starts = [
+            event
+            for event in system.world.trace
+            if event.kind == "state_transfer_start"
+            and event.process == 2
+            and event.detail["reason"] == "lag"
+        ]
+        assert lag_starts
+        assert result.reason == "quiescent"
+        assert not system.replicas[2]._transferring
+        assert system.replicas[2].state_transfers_completed
+        assert system.all_clients_done()
+        assert system.checkpoints_agree()
+        completed = system.completed_requests()
+        assert all(
+            replica.committed_commands == completed
+            for replica in system.replicas
+        )
+        digests = {
+            service_digest(replica.store, replica.executed)
+            for replica in system.replicas
+        }
+        assert len(digests) == 1
