@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke faults-smoke zoo-smoke shard-smoke smoke docs-check bench-check benchmarks experiments
+.PHONY: test campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke faults-smoke zoo-smoke shard-smoke smoke docs-check bench-check parity benchmarks experiments
 
 # -W error promotes every warning to a failure; the lone ignore shields
 # the suite from a deprecation raised inside third-party plugin hooks.
@@ -125,6 +125,13 @@ docs-check:
 # breaks a wrapper fails here (about 30 s).
 bench-check:
 	python3 -m pytest -q perfbench/tests
+
+# Byte-parity of every deterministic artifact (faults/zoo campaigns,
+# shard loopback, perf smoke, mc run, service campaign, lossy/partition
+# campaign runs) between commit REF and the working tree; prints the
+# artifacts that differ and exits non-zero if any do.
+parity:
+	PYTHON=$(PYTHON) sh scripts/parity.sh $(REF)
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -30,7 +30,7 @@ from repro.sim.network import (
     Partition,
     UniformDelay,
 )
-from repro.sim.world import TRANSPORTS
+from repro.sim.world import check_wire
 from repro.systems import ConsensusSystem, build_crash_system, build_transformed_system
 
 #: Crash-model protocols run the Figure-2 (or CT) protocol unprotected;
@@ -51,25 +51,6 @@ DELAY_MODELS: dict[str, tuple[type, dict[str, float]]] = {
 
 #: Muteness-detector choices a transformed scenario may pin.
 MUTENESS_DETECTORS = ("oracle", "timeout", "round-aware", "adaptive")
-
-
-def parse_partition_groups(spec: str) -> tuple[tuple[int, ...], ...]:
-    """Parse a partition group spec like ``"0,1|2,3"`` into pid groups."""
-    try:
-        groups = tuple(
-            tuple(sorted(int(pid) for pid in side.split(",")))
-            for side in spec.split("|")
-        )
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"malformed partition groups {spec!r} (expected e.g. '0,1|2,3')"
-        ) from exc
-    return groups
-
-
-def format_partition_groups(groups: tuple[tuple[int, ...], ...]) -> str:
-    """Inverse of :func:`parse_partition_groups`."""
-    return "|".join(",".join(str(pid) for pid in side) for side in groups)
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,12 +217,7 @@ class Scenario:
             duplication=self.dup,
             reorder=self.reorder,
             partitions=tuple(
-                Partition(
-                    start=start,
-                    heal=heal,
-                    groups=parse_partition_groups(groups),
-                )
-                for start, heal, groups in self.partitions
+                Partition.parse(spec, self.n) for spec in self.partitions
             ),
         )
 
@@ -328,42 +304,8 @@ class Scenario:
         self._validate_fault_budget()
 
     def _validate_link_faults(self) -> None:
-        for axis, value in (
-            ("loss", self.loss),
-            ("dup", self.dup),
-            ("reorder", self.reorder),
-        ):
-            if not 0.0 <= value < 1.0:
-                raise ConfigurationError(
-                    f"{axis} probability must be in [0, 1), got {value!r}"
-                )
-        for start, heal, groups in self.partitions:
-            if start < 0 or heal <= start:
-                raise ConfigurationError(
-                    f"partition window [{start!r}, {heal!r}) must satisfy "
-                    "0 <= start < heal"
-                )
-            sides = parse_partition_groups(groups)
-            if len(sides) < 2 or any(not side for side in sides):
-                raise ConfigurationError(
-                    f"partition groups {groups!r} need >= 2 non-empty sides"
-                )
-            seen: set[int] = set()
-            for side in sides:
-                for pid in side:
-                    if not 0 <= pid < self.n:
-                        raise ConfigurationError(
-                            f"partition pid {pid} out of range for n={self.n}"
-                        )
-                    if pid in seen:
-                        raise ConfigurationError(
-                            f"partition groups {groups!r} repeat pid {pid}"
-                        )
-                    seen.add(pid)
-        if self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport {self.transport!r}; known: {list(TRANSPORTS)}"
-            )
+        # The link-fault axes, partition groups and transport.
+        check_wire(self.build_link_model(), self.transport)
         if self.muteness not in MUTENESS_DETECTORS:
             raise ConfigurationError(
                 f"unknown muteness detector {self.muteness!r}; known: "

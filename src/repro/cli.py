@@ -134,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="START:HEAL:GROUPS",
-        help="sever cross-group links during [START, HEAL), e.g. "
-        "40:120:0,1|2,3 (repeatable)",
+        help="withhold cross-group traffic during [START, HEAL) and "
+        "deliver it at HEAL, e.g. 40:120:0,1|2,3 (repeatable)",
     )
     run.add_argument(
         "--transport",
@@ -715,32 +715,8 @@ def _parse_pairs(pairs: list[str], what: str) -> dict[int, str]:
     return parsed
 
 
-def _parse_partitions(specs: list[str]) -> tuple[Partition, ...]:
-    partitions = []
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigurationError(
-                f"--partition expects START:HEAL:GROUPS, got {spec!r}"
-            )
-        start_text, heal_text, groups_text = parts
-        try:
-            start, heal = float(start_text), float(heal_text)
-            groups = tuple(
-                tuple(int(pid) for pid in side.split(","))
-                for side in groups_text.split("|")
-            )
-        except ValueError:
-            raise ConfigurationError(
-                f"--partition expects numeric START:HEAL and GROUPS like "
-                f"0,1|2,3, got {spec!r}"
-            ) from None
-        partitions.append(Partition(start=start, heal=heal, groups=groups))
-    return tuple(partitions)
-
-
 def _build_link_model(args: argparse.Namespace) -> LinkModel | None:
-    partitions = _parse_partitions(args.partition)
+    partitions = tuple(Partition.parse(spec, args.n) for spec in args.partition)
     if not (args.loss or args.dup or args.reorder or partitions):
         return None
     return LinkModel(

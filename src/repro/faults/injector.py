@@ -4,18 +4,24 @@
 three runners: given ``(now, src, dst, payload)`` in *plan* units it
 answers "what happens to this message" as a list of ``(payload, delay)``
 deliveries — the empty list drops it, more than one entry duplicates it,
-a positive delay reorders it past later traffic. The simulation hands
-the answer to the :class:`~repro.sim.network.Network` tamper hook, the
-loopback twin to a scheduler-aware :class:`~repro.net.transport.LoopbackHub`
-subclass, and the real cluster to
-:class:`~repro.net.faulty.FaultyPeerTransport` — so one seeded plan
+a positive delay reorders it past later traffic. The simulation installs
+it (on the simulator's clock) as the :class:`~repro.sim.network.Network`'s
+link model, the loopback twin hands it to a scheduler-aware
+:class:`~repro.net.transport.LoopbackHub` subclass, and the real cluster
+to :class:`~repro.net.faulty.FaultyPeerTransport` — so one seeded plan
 produces the same fault schedule everywhere the message order matches.
 
-Determinism: every directed link forks its own named stream from
-``SeededRng(plan.seed, "faults-<plan_id>")``. At fidelity 3 each replica
-process instantiates its own injector but only *consumes* the streams of
-its outbound links, so the per-link draws match the single-process
-fidelities draw-for-draw.
+The plan's link noise (partitions, loss, duplication, reorder) is not
+decided here: the injector composes the one link-fault engine,
+:class:`~repro.sim.network.LinkModel`, and keeps only the plan-specific
+stages around it — muteness, message-adversary suppression, bit-flips
+and timing-attack burst shaping.
+
+Determinism: the link model is rooted at
+``SeededRng(plan.seed, "faults-<plan_id>")`` and forks one stream per
+directed link. At fidelity 3 each replica process instantiates its own
+injector but only *consumes* the streams of its outbound links, so the
+per-link draws match the single-process fidelities draw-for-draw.
 
 The bit-flip family (:func:`flip_signed_payload`) is the first
 *non-malicious arbitrary fault*: a correct sender whose CURRENT message
@@ -43,10 +49,8 @@ from repro.observability.registry import (
     NULL_METRICS,
 )
 from repro.replication.log import SlotEnvelope
+from repro.sim.network import Delivery
 from repro.sim.rng import SeededRng
-
-#: One decision: deliver ``payload`` after ``delay`` extra plan-seconds.
-Delivery = tuple[Any, float]
 
 
 def flip_signed_payload(payload: Any) -> Any | None:
@@ -74,10 +78,11 @@ def flip_signed_payload(payload: Any) -> Any | None:
 class LinkFaultInjector:
     """Deterministic per-link fault pipeline for one :class:`FaultPlan`.
 
-    The pipeline order is fixed (mute, suppress, partition, loss, flip,
-    duplicate, reorder, burst-shape) and every probabilistic stage draws
-    from the directed link's own stream, in send order — the property
-    the cross-fidelity byte-identity check rests on. The two zoo stages
+    The pipeline order is fixed (mute, suppress, then the link model's
+    partition, loss, duplicate and reorder, then flip and burst-shape)
+    and every probabilistic stage draws from the directed link's own
+    stream, in send order — the property the cross-fidelity
+    byte-identity check rests on. The two zoo stages
     are draw-free: per-round suppression sets are pure seed forks
     (:class:`~repro.zoo.suppressor.RoundSuppressor`) and the timing
     attack's burst shaping is a deterministic function of the per-link
@@ -90,27 +95,18 @@ class LinkFaultInjector:
         plan: FaultPlan,
         *,
         registry: Any = None,
-        local_pid: int | None = None,
     ) -> None:
         plan.validate()
         self._plan = plan
         self._registry = registry if registry is not None else NULL_METRICS
-        self._local_pid = local_pid
-        root = SeededRng(plan.seed, f"faults-{plan.plan_id}")
-        self._links: dict[tuple[int, int], SeededRng] = {}
-        self._root = root
-        self._partitions = plan.parsed_partitions()
+        self._links = plan.link_model().seeded(
+            SeededRng(plan.seed, f"faults-{plan.plan_id}"), self._registry
+        )
         self._mute_at = {pid: at for pid, at in plan.mutes}
         self._flip_at = {pid: (at, count) for pid, at, count in plan.flips}
         self._flips_done: dict[int, int] = {pid: 0 for pid in self._flip_at}
         self.flips_injected = 0
-        self.drops: dict[str, int] = {
-            "mute": 0,
-            "loss": 0,
-        }
-        self.partition_delays = 0
-        self.duplicates = 0
-        self.reorders = 0
+        self._mute_drops = 0
         # -- adversary zoo (v2 plans; inert on v1 plans). The zoo imports
         # are lazy: repro.zoo depends on repro.faults.plan, so repro.faults
         # modules must never import repro.zoo at module scope.
@@ -133,29 +129,25 @@ class LinkFaultInjector:
     def plan(self) -> FaultPlan:
         return self._plan
 
-    def _link(self, src: int, dst: int) -> SeededRng:
-        key = (src, dst)
-        rng = self._links.get(key)
-        if rng is None:
-            rng = self._root.fork(f"link-{src}-{dst}")
-            self._links[key] = rng
-        return rng
+    @property
+    def drops(self) -> dict[str, int]:
+        return {"mute": self._mute_drops, "loss": self._links.lost}
 
-    def _severed_until(self, now: float, src: int, dst: int) -> float | None:
-        """Heal time of the partition currently severing ``src -> dst``."""
-        for start, heal, groups in self._partitions:
-            if not start <= now < heal:
-                continue
-            src_group = next(
-                (i for i, group in enumerate(groups) if src in group), None
-            )
-            dst_group = next(
-                (i for i, group in enumerate(groups) if dst in group), None
-            )
-            if src_group is not None and dst_group is not None:
-                if src_group != dst_group:
-                    return heal
-        return None
+    @property
+    def partition_delays(self) -> int:
+        return self._links.withheld
+
+    @property
+    def duplicates(self) -> int:
+        return self._links.duplicated
+
+    @property
+    def reorders(self) -> int:
+        return self._links.reordered
+
+    def held_until(self, now: float, src: int, dst: int) -> float | None:
+        """When a partition cutting ``src -> dst`` heals (plan units)."""
+        return self._links.held_until(now, src, dst)
 
     def _muted(self, now: float, pid: int) -> bool:
         at = self._mute_at.get(pid)
@@ -178,7 +170,7 @@ class LinkFaultInjector:
         # Muteness swallows everything touching the muted replica,
         # clients included (a SIGSTOPped process neither sends nor acks).
         if self._muted(now, src) or self._muted(now, dst):
-            self.drops["mute"] += 1
+            self._mute_drops += 1
             self._registry.inc(MODULE_FAULTS, "mute_drops", pid=src)
             return []
         replica_link = src < n and dst < n
@@ -193,52 +185,30 @@ class LinkFaultInjector:
             self.suppressed += 1
             self._registry.inc(MODULE_ZOO, "suppressed_deliveries", pid=src)
             return []
-        heal = self._severed_until(now, src, dst)
-        if heal is not None:
-            # A partition *withholds* traffic until the heal instant
-            # rather than destroying it: over real TCP the severed
-            # link's frames sit in socket buffers and outbound queues
-            # and flush once connectivity returns, and the protocol
-            # assumes reliable channels. Destroying them would deadlock
-            # every fidelity identically — true, but uninteresting.
-            self.partition_delays += 1
-            self._registry.inc(MODULE_FAULTS, "partition_delays", pid=src)
-            return [(payload, heal - now)]
-        rng = self._link(src, dst)
-        touched = False
-        if plan.loss:
-            touched = True
-            if rng.chance(plan.loss):
-                self.drops["loss"] += 1
-                self._registry.inc(MODULE_FAULTS, "loss_drops", pid=src)
-                return []
+        held = self._links.held_until(now, src, dst) is not None
+        deliveries = self._links.deliveries(now, src, dst, payload)
+        if held or deliveries == []:
+            # *Withheld* by a partition until the heal instant (over real
+            # TCP the severed link's frames sit in socket buffers and
+            # flush once connectivity returns), or lost: either way the
+            # message is neither flipped nor shaped.
+            return deliveries
         flip = self._flip_at.get(src)
         if flip is not None:
             at, budget = flip
             if now >= at and self._flips_done[src] < budget:
                 corrupt = flip_signed_payload(payload)
                 if corrupt is not None:
-                    payload = corrupt
-                    touched = True
                     self._flips_done[src] += 1
                     self.flips_injected += 1
                     self._registry.inc(
                         MODULE_FAULTS, "arb_faults_injected", pid=src
                     )
-        deliveries: list[Delivery] = [(payload, 0.0)]
-        if plan.duplication:
-            touched = True
-            if rng.chance(plan.duplication):
-                self.duplicates += 1
-                self._registry.inc(MODULE_FAULTS, "dup_copies", pid=src)
-                deliveries.append((payload, 0.0))
-        if plan.reorder:
-            touched = True
-            if rng.chance(plan.reorder):
-                delay = rng.uniform(0.0, plan.reorder_spread)
-                self.reorders += 1
-                self._registry.inc(MODULE_FAULTS, "reorder_delays", pid=src)
-                deliveries[0] = (deliveries[0][0], delay)
+                    # Every surviving copy carries the flipped body.
+                    deliveries = [
+                        (corrupt, delay)
+                        for _, delay in deliveries or [(payload, 0.0)]
+                    ]
         # Family (c): a timing attacker releases its (otherwise genuine)
         # traffic only at burst boundaries — every copy, duplicates
         # included, picks up the same hold. The shaper spaces releases so
@@ -246,12 +216,10 @@ class LinkFaultInjector:
         if self._burst is not None:
             hold = self._burst.hold(src, dst, now)
             if hold > 0.0:
-                touched = True
                 self.timing_delays += 1
                 self._registry.inc(MODULE_ZOO, "timing_delays", pid=src)
                 deliveries = [
-                    (item, delay + hold) for item, delay in deliveries
+                    (item, delay + hold)
+                    for item, delay in deliveries or [(payload, 0.0)]
                 ]
-        if not touched:
-            return None
         return deliveries

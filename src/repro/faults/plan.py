@@ -31,6 +31,7 @@ from typing import Any, Mapping
 from repro.byzantine import TRANSFORMED_ATTACKS
 from repro.core.specs import SystemParameters
 from repro.errors import ConfigurationError
+from repro.sim.network import LinkModel, Partition
 
 #: Newest schema tag this code reads and writes.
 FAULTS_SCHEMA = "repro.faults/v2"
@@ -56,37 +57,6 @@ FIDELITY_NET = "net"
 FIDELITIES = (FIDELITY_SIM, FIDELITY_LOOPBACK, FIDELITY_NET)
 
 
-def _parse_groups(groups: str, n_replicas: int) -> tuple[tuple[int, ...], ...]:
-    """``"0,1|2,3"`` -> ``((0, 1), (2, 3))`` with full validation."""
-    try:
-        parsed = tuple(
-            tuple(int(pid) for pid in part.split(","))
-            for part in groups.split("|")
-        )
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"malformed partition groups {groups!r}: {exc}"
-        ) from exc
-    if len(parsed) < 2:
-        raise ConfigurationError(
-            f"a partition needs >= 2 groups, got {groups!r}"
-        )
-    seen: set[int] = set()
-    for group in parsed:
-        for pid in group:
-            if not 0 <= pid < n_replicas:
-                raise ConfigurationError(
-                    f"partition pid {pid} out of range for "
-                    f"n_replicas={n_replicas}"
-                )
-            if pid in seen:
-                raise ConfigurationError(
-                    f"partition pid {pid} appears in two groups: {groups!r}"
-                )
-            seen.add(pid)
-    return parsed
-
-
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
     """One fidelity-neutral fault scenario (immutable, hashable)."""
@@ -110,8 +80,9 @@ class FaultPlan:
     #: real ``SIGKILL`` (+ respawn with ``--join``).
     kills: tuple[tuple[int, float, float | None], ...] = ()
     #: ``(start, heal, groups)`` partition-then-heal windows; ``groups``
-    #: is the ``"0,1|2,3"`` syntax of the consensus campaign. Severs
-    #: replica-replica links across groups, clients stay connected.
+    #: is the ``"0,1|2,3"`` syntax of the consensus campaign. Withholds
+    #: replica-replica traffic across groups until the heal; clients
+    #: stay connected.
     partitions: tuple[tuple[float, float, str], ...] = ()
     #: Per-link Bernoulli fault probabilities on replica-replica links.
     loss: float = 0.0
@@ -390,12 +361,17 @@ class FaultPlan:
     def progress_floor(self) -> int:
         return self.min_commands if self.min_commands else self.requests
 
-    def parsed_partitions(
-        self,
-    ) -> tuple[tuple[float, float, tuple[tuple[int, ...], ...]], ...]:
-        return tuple(
-            (start, heal, _parse_groups(groups, self.n_replicas))
-            for start, heal, groups in self.partitions
+    def link_model(self) -> LinkModel:
+        """The plan's link noise as the shared engine (validates it)."""
+        return LinkModel(
+            loss=self.loss,
+            duplication=self.duplication,
+            reorder=self.reorder,
+            reorder_spread=self.reorder_spread,
+            partitions=tuple(
+                Partition.parse(spec, self.n_replicas)
+                for spec in self.partitions
+            ),
         )
 
     # -- validation ----------------------------------------------------------
@@ -422,20 +398,7 @@ class FaultPlan:
             raise ConfigurationError(
                 f"min_commands must be >= 0, got {self.min_commands}"
             )
-        for label, probability in (
-            ("loss", self.loss),
-            ("duplication", self.duplication),
-            ("reorder", self.reorder),
-        ):
-            if not 0.0 <= probability < 1.0:
-                raise ConfigurationError(
-                    f"{label} probability must be in [0, 1), "
-                    f"got {probability!r}"
-                )
-        if self.reorder_spread <= 0:
-            raise ConfigurationError(
-                f"reorder_spread must be positive, got {self.reorder_spread!r}"
-            )
+        self.link_model()  # the link-noise axes and partition groups
         for pid, at in self.mutes:
             self._check_pid(pid, "mute")
             self._check_time(at, f"mute of replica {pid}")
@@ -449,14 +412,8 @@ class FaultPlan:
                         f"replica {pid} rejoins at {rejoin_at!r}, before "
                         f"its kill at {at!r}"
                     )
-        for start, heal, groups in self.partitions:
-            _parse_groups(groups, self.n_replicas)
+        for start, heal, _groups in self.partitions:
             self._check_time(start, "partition start")
-            if heal <= start:
-                raise ConfigurationError(
-                    f"partition window [{start!r}, {heal!r}) must satisfy "
-                    "start < heal"
-                )
             if heal > self.duration:
                 raise ConfigurationError(
                     f"partition heals at {heal!r}, past the plan duration "

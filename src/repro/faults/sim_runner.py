@@ -4,13 +4,13 @@ The plan's fidelity-neutral timeline (plan seconds) is scaled by
 :data:`SIM_TIME_SCALE` onto the service world's virtual clock, whose
 native timeouts (``request_timeout=40``, ``muteness_timeout=10``) were
 tuned for the campaign presets. Link faults run through the shared
-:class:`~repro.faults.injector.LinkFaultInjector` via the network's
-tamper hook; kills/rejoins reuse the service runtime's recovery
-scheduling (down = volatile state lost, up = certified state transfer);
-collusion installs transformed-attack engines. The run then settles past
-the plan window until the workload drains and the live replicas agree,
-or a generous virtual-time budget expires — the oracles, not the budget,
-decide the verdict.
+:class:`~repro.faults.injector.LinkFaultInjector`, installed on the
+simulator's clock as the network's link model; kills/rejoins reuse the
+service runtime's recovery scheduling (down = volatile state lost, up =
+certified state transfer); collusion installs transformed-attack
+engines. The run then settles past the plan window until the workload
+drains and the live replicas agree, or a generous virtual-time budget
+expires — the oracles, not the budget, decide the verdict.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.replication.log import EngineFactory
 from repro.service.checkpoint import service_digest
 from repro.service.config import ServiceConfig
 from repro.service.runtime import ServiceSystem, build_service_system
+from repro.sim.network import Delivery
 
 if TYPE_CHECKING:
     from repro.zoo.runtime import ZooInjections
@@ -86,6 +87,27 @@ def _byzantine(plan: FaultPlan) -> dict[int, EngineFactory]:
     return engines
 
 
+class _SimClockInjector:
+    """The plan's injector as a network link model on the simulator's clock."""
+
+    def __init__(self, injector: LinkFaultInjector) -> None:
+        self._injector = injector
+
+    def deliveries(
+        self, now: float, src: int, dst: int, payload: Any
+    ) -> list[Delivery] | None:
+        copies = self._injector.plan_deliveries(
+            now / SIM_TIME_SCALE, src, dst, payload
+        )
+        if copies is None:
+            return None
+        return [(copy, delay * SIM_TIME_SCALE) for copy, delay in copies]
+
+    def held_until(self, now: float, src: int, dst: int) -> float | None:
+        heal = self._injector.held_until(now / SIM_TIME_SCALE, src, dst)
+        return None if heal is None else heal * SIM_TIME_SCALE
+
+
 def build_sim_system(
     plan: FaultPlan,
 ) -> tuple[ServiceSystem, LinkFaultInjector, "ZooInjections"]:
@@ -94,19 +116,6 @@ def build_sim_system(
 
     plan.validate()
     injector = LinkFaultInjector(plan)
-
-    def tamper(
-        now: float, src: int, dst: int, payload: Any
-    ) -> list[tuple[Any, float]] | None:
-        deliveries = injector.plan_deliveries(
-            now / SIM_TIME_SCALE, src, dst, payload
-        )
-        if deliveries is None:
-            return None
-        return [
-            (copy, delay * SIM_TIME_SCALE) for copy, delay in deliveries
-        ]
-
     recoveries = tuple(
         (pid, at * SIM_TIME_SCALE, rejoin_at * SIM_TIME_SCALE)
         for pid, at, rejoin_at in plan.kills
@@ -116,7 +125,7 @@ def build_sim_system(
         _sim_config(plan),
         byzantine=_byzantine(plan),
         recoveries=recoveries,
-        tamper=tamper,
+        link_model=_SimClockInjector(injector),
     )
     # Permanent kills have no recovery leg: take the replica down and
     # leave it down (silent, volatile state lost — the crash model).

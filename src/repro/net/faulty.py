@@ -5,8 +5,8 @@ that consults a :class:`~repro.faults.injector.LinkFaultInjector` on
 every *outbound* replica-to-replica send — each replica process owns the
 plan's decisions for its own outbound links, so loss/duplication/reorder
 and pre-signature bit-flips happen on real TCP without any privileged
-network machinery. Partition windows sever links the same way; a delayed
-copy re-enters :meth:`send` via ``loop.call_later``, overtaking
+network machinery. Partition windows withhold traffic until the heal the
+same way; a delayed copy re-enters :meth:`send` via ``loop.call_later``, overtaking
 in-flight traffic exactly like a reordered segment. Muteness and crash
 at this fidelity are *process* faults (SIGSTOP / SIGKILL, driven by
 :class:`~repro.net.cluster.LocalCluster`), not link faults.

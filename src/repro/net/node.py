@@ -293,9 +293,7 @@ async def serve_replica(
         from repro.faults.injector import LinkFaultInjector
         from repro.net.faulty import FaultyPeerTransport
 
-        injector = LinkFaultInjector(
-            plan, registry=node.metrics, local_pid=pid
-        )
+        injector = LinkFaultInjector(plan, registry=node.metrics)
         transport: PeerTransport = FaultyPeerTransport(
             genesis,
             pid,

@@ -219,10 +219,7 @@ class ServiceScenario:
                 f"{len(self.faulty_pids)} faulty replicas exceed F={params.f} "
                 f"for n={self.n_replicas}"
             )
-        if not 0.0 <= self.loss < 1.0:
-            raise ConfigurationError(
-                f"loss probability must be in [0, 1), got {self.loss!r}"
-            )
+        LinkModel(loss=self.loss)  # range-checks the loss axis
         if self.loss and self.transport == "none":
             raise ConfigurationError(
                 "a lossy service scenario needs a reliable transport "

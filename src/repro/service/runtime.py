@@ -18,7 +18,7 @@ from repro.replication.log import EngineFactory
 from repro.service.clients import ClosedLoopClient, OpenLoopClient, ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.replica import ServiceReplicaProcess
-from repro.sim.network import DelayModel, LinkModel, TamperHook
+from repro.sim.network import DelayModel, LinkFaults
 from repro.sim.world import World
 
 
@@ -88,9 +88,8 @@ def build_service_system(
     byzantine: dict[int, EngineFactory] | None = None,
     recoveries: tuple[tuple[int, float, float], ...] = (),
     delay_model: DelayModel | None = None,
-    link_model: LinkModel | None = None,
+    link_model: LinkFaults | None = None,
     transport: str = "none",
-    tamper: TamperHook | None = None,
 ) -> ServiceSystem:
     """Validate ``config`` and build the (not yet run) service world."""
     config.validate()
@@ -153,7 +152,6 @@ def build_service_system(
         delay_model=delay_model,
         link_model=link_model,
         transport=transport,
-        tamper=tamper,
     )
     for pid, down_at, up_at in recoveries:
         replica = replicas[pid]

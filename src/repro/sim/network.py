@@ -10,7 +10,9 @@ pluggable so the adversary can delay messages arbitrarily (but finitely)
 A :class:`LinkModel` turns the substrate into the network a production
 deployment actually faces: per-link message loss, duplication, burst
 reordering and scripted (healing) :class:`Partition` windows, all drawn
-from the run's seeded randomness so faulty runs replay exactly. The
+from seeded per-link streams so faulty runs replay exactly. It is the
+one link-fault engine of the repo: the fault-plan injector
+(:mod:`repro.faults.injector`) composes one for its link noise. The
 paper's channel assumptions are then *restored* one layer up by
 :mod:`repro.sim.transport`, whose seq/ack/retransmit machinery is what
 lets the five Figure-1 modules run unmodified above a lossy fabric (see
@@ -24,11 +26,13 @@ can do to a frame in transit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, Sequence
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.observability.registry import (
+    MODULE_FAULTS,
     MODULE_NETWORK,
+    NULL_METRICS,
     MetricsRegistry,
 )
 from repro.sim.rng import SeededRng
@@ -37,14 +41,34 @@ from repro.sim.trace import Trace
 
 DeliverCallback = Callable[[int, Any], None]
 
-#: Message-tampering hook (the fault-plan injector, docs/FAULTS.md).
-#: Called as ``tamper(now, src, dst, payload)`` for every ``src != dst``
-#: send. ``None`` means "no opinion" (the normal link handling runs); an
-#: empty iterable destroys the message (a counted ``fault`` drop); a list
-#: of ``(payload, extra_delay)`` pairs schedules each copy, where a
-#: positive ``extra_delay`` escapes the FIFO clamp exactly like a burst
-#: reordering.
-TamperHook = Callable[[float, int, int, Any], "list[tuple[Any, float]] | None"]
+#: One copy the wire delivers: ``(payload, extra_delay)``. A positive
+#: ``extra_delay`` escapes the FIFO clamp, so later traffic on the
+#: channel may overtake the copy — unless the link is held (see
+#: :meth:`LinkFaults.held_until`).
+Delivery = tuple[Any, float]
+
+
+class LinkFaults(Protocol):
+    """What the wire does to one ``src -> dst`` message (``src != dst``).
+
+    ``None`` passes the message untouched; otherwise every
+    :data:`Delivery` in the list is scheduled: the empty list destroys
+    the message, more than one entry duplicates it.
+    """
+
+    def deliveries(
+        self, now: float, src: int, dst: int, payload: Any
+    ) -> list[Delivery] | None: ...
+
+    def held_until(self, now: float, src: int, dst: int) -> float | None:
+        """The instant a partition cutting ``src -> dst`` at ``now`` heals.
+
+        ``None`` when the link is not cut. A held message is released at
+        the heal in FIFO order with the rest of its channel, like the
+        buffered frames of a cut TCP connection; it is never lost.
+        """
+        ...
+
 
 # Minimal spacing inserted between two deliveries on the same channel so
 # FIFO order is preserved even when a sampled delay would reorder them.
@@ -166,9 +190,13 @@ class Partition:
     """A scripted network partition that later heals.
 
     During ``[start, heal)`` every message whose endpoints sit in
-    *different* groups is severed (dropped on the wire); at ``heal`` the
-    cut disappears. Pids absent from every group are unaffected — list a
-    pid in some group to make it partitionable. Groups must be disjoint.
+    *different* groups is withheld: the wire holds it and delivers it
+    after ``heal``, in send order, the way a cut TCP link flushes its
+    buffers once connectivity returns. To the processes a partition is
+    only a long (finite) transfer delay, which the paper's reliable FIFO
+    channels allow. Pids absent from every group are unaffected —
+    list a pid in some group to make it partitionable. Groups must be
+    disjoint.
     """
 
     start: float
@@ -194,6 +222,38 @@ class Partition:
                 )
             seen |= set(group)
 
+    @classmethod
+    def parse(cls, spec: str | Sequence[Any], n: int) -> "Partition":
+        """Parse and validate one partition among pids ``0..n-1``.
+
+        ``spec`` is the CLI form ``"START:HEAL:GROUPS"`` or the scenario
+        form ``(start, heal, groups)``; ``groups`` reads like ``"0,1|2,3"``.
+        """
+        parts = spec.split(":") if isinstance(spec, str) else list(spec)
+        if len(parts) != 3:
+            raise ConfigurationError(
+                f"partition expects START:HEAL:GROUPS, got {spec!r}"
+            )
+        start, heal, groups = parts
+        try:
+            window = float(start), float(heal)
+            sides = tuple(
+                tuple(sorted(int(pid) for pid in side.split(",")))
+                for side in groups.split("|")
+            )
+        except (AttributeError, TypeError, ValueError):
+            raise ConfigurationError(
+                f"malformed partition {spec!r} (expected numeric START:HEAL "
+                "and GROUPS like 0,1|2,3)"
+            ) from None
+        for side in sides:
+            for pid in side:
+                if not 0 <= pid < n:
+                    raise ConfigurationError(
+                        f"partition pid {pid} out of range for n={n}"
+                    )
+        return cls(*window, sides)
+
     def severs(self, now: float, src: int, dst: int) -> bool:
         """Is the ``src -> dst`` link cut at virtual time ``now``?"""
         if not self.start <= now < self.heal:
@@ -208,21 +268,29 @@ class Partition:
 
 
 class LinkModel:
-    """Composable per-link fault model: loss, duplication, reordering, cuts.
+    """The per-link fault engine: partitions, loss, duplication, reordering.
 
-    Probabilities are per message; all sampling happens on the network's
-    dedicated ``links`` substream, so two runs with the same seed lose,
-    duplicate and reorder exactly the same messages. A process's channel
-    to itself is internal and never faulted.
+    :meth:`deliveries` decides each message in a fixed order: a
+    partition check that withholds the message until the heal and draws
+    nothing, then loss, then duplication, then reordering of the first
+    copy. Probabilities are per message and every draw comes from the
+    directed link's own stream (``link-{src}-{dst}``, forked lazily off
+    the stream root), so a link's fate does not depend on traffic
+    elsewhere and two runs with the same seed fault exactly the same
+    messages. The constructor describes the faults; :meth:`seeded` binds
+    a copy to a stream root, which is what a :class:`Network` does with
+    the model it is given. A process's channel to itself is internal and
+    never faulted.
 
     Args:
         loss: probability a message silently vanishes in transit.
         duplication: probability the wire delivers a second copy.
-        reorder: probability a message escapes the FIFO clamp and is
+        reorder: probability the first copy escapes the FIFO clamp and is
             additionally delayed by up to ``reorder_spread`` (a burst
             reordering: later traffic on the channel may overtake it).
         reorder_spread: maximum extra delay of a reordered message.
-        partitions: scripted :class:`Partition` windows (may overlap).
+        partitions: scripted :class:`Partition` windows (may overlap; the
+            first one cutting a link sets its heal).
     """
 
     def __init__(
@@ -249,18 +317,74 @@ class LinkModel:
         self.reorder = reorder
         self.reorder_spread = reorder_spread
         self.partitions = tuple(partitions)
+        self._rng: SeededRng | None = None
+        self._metrics: Any = NULL_METRICS
+        self._noisy = bool(loss or duplication or reorder)
+        self._streams: dict[tuple[int, int], SeededRng] = {}
+        self.withheld = 0
+        self.lost = 0
+        self.duplicated = 0
+        self.reordered = 0
 
     @property
     def faultless(self) -> bool:
-        return (
-            not self.loss
-            and not self.duplication
-            and not self.reorder
-            and not self.partitions
-        )
+        return not self._noisy and not self.partitions
 
-    def severed(self, now: float, src: int, dst: int) -> bool:
-        return any(p.severs(now, src, dst) for p in self.partitions)
+    def seeded(self, rng: SeededRng, metrics: Any = NULL_METRICS) -> "LinkModel":
+        """A fresh copy of this model drawing its per-link streams off ``rng``.
+
+        Each decision is counted into ``metrics`` under the ``faults``
+        module (``partition_delays``, ``loss_drops``, ``dup_copies``,
+        ``reorder_delays``, labelled by sender).
+        """
+        model = LinkModel(
+            self.loss,
+            self.duplication,
+            self.reorder,
+            self.reorder_spread,
+            self.partitions,
+        )
+        model._rng = rng
+        model._metrics = metrics
+        return model
+
+    def held_until(self, now: float, src: int, dst: int) -> float | None:
+        """See :meth:`LinkFaults.held_until`; draws nothing."""
+        for partition in self.partitions:
+            if partition.severs(now, src, dst):
+                return partition.heal
+        return None
+
+    def deliveries(
+        self, now: float, src: int, dst: int, payload: Any
+    ) -> list[Delivery] | None:
+        """Decide one ``src -> dst`` message (see :class:`LinkFaults`)."""
+        heal = self.held_until(now, src, dst)
+        if heal is not None:
+            self.withheld += 1
+            self._metrics.inc(MODULE_FAULTS, "partition_delays", pid=src)
+            return [(payload, heal - now)]
+        if not self._noisy:
+            return None
+        rng = self._streams.get((src, dst))
+        if rng is None:
+            if self._rng is None:
+                raise NetworkError("an unseeded LinkModel cannot draw")
+            rng = self._streams[src, dst] = self._rng.fork(f"link-{src}-{dst}")
+        if self.loss and rng.chance(self.loss):
+            self.lost += 1
+            self._metrics.inc(MODULE_FAULTS, "loss_drops", pid=src)
+            return []
+        copies = [(payload, 0.0)]
+        if self.duplication and rng.chance(self.duplication):
+            self.duplicated += 1
+            self._metrics.inc(MODULE_FAULTS, "dup_copies", pid=src)
+            copies.append((payload, 0.0))
+        if self.reorder and rng.chance(self.reorder):
+            self.reordered += 1
+            self._metrics.inc(MODULE_FAULTS, "reorder_delays", pid=src)
+            copies[0] = (payload, rng.uniform(0.0, self.reorder_spread))
+        return copies
 
 
 class Network:
@@ -268,10 +392,11 @@ class Network:
 
     Processes are registered with a delivery callback; :meth:`send`
     schedules a delivery event whose timestamp respects per-channel FIFO
-    order regardless of the sampled delays. An optional :class:`LinkModel`
-    makes individual links lossy, duplicating, reordering or partitioned;
-    every drop, duplicate and partition transition is traced and counted
-    so nothing the wire does is invisible to the oracles.
+    order regardless of the sampled delays. An optional link model (a
+    :class:`LinkModel`, or anything else honouring :class:`LinkFaults`)
+    decides what the wire does to each message between distinct
+    processes; every drop, duplicate and partition transition is traced
+    and counted so nothing the wire does is invisible to the oracles.
     """
 
     def __init__(
@@ -281,16 +406,16 @@ class Network:
         delay_model: DelayModel | None = None,
         fifo: bool = True,
         metrics: MetricsRegistry | None = None,
-        link_model: LinkModel | None = None,
-        tamper: TamperHook | None = None,
+        link_model: LinkFaults | None = None,
     ) -> None:
         self._scheduler = scheduler
         self._trace = trace
         self._metrics = metrics
-        self._tamper = tamper
         self._delay_model: DelayModel = delay_model or UniformDelay()
         self._rng = scheduler.rng.fork("network")
-        self._link_rng = scheduler.rng.fork("links")
+        if isinstance(link_model, LinkModel):
+            link_model = link_model.seeded(scheduler.rng.fork("links"))
+            self._schedule_partition_transitions(link_model)
         self._link_model = link_model
         self._inboxes: dict[int, DeliverCallback] = {}
         self._last_delivery: dict[tuple[int, int], float] = {}
@@ -302,8 +427,6 @@ class Network:
         # only so experiment E14 can demonstrate the assumption is
         # load-bearing (agreement breaks without it).
         self._fifo = fifo
-        if link_model is not None:
-            self._schedule_partition_transitions(link_model)
 
     def _schedule_partition_transitions(self, link_model: LinkModel) -> None:
         """Trace every partition cut and heal as a first-class event."""
@@ -341,17 +464,13 @@ class Network:
 
     @property
     def messages_dropped(self) -> int:
-        """Messages the link model destroyed in transit (loss + partition)."""
+        """Messages the link model destroyed in transit."""
         return self._messages_dropped
 
     @property
     def messages_duplicated(self) -> int:
         """Extra copies the link model delivered beyond the first."""
         return self._messages_duplicated
-
-    @property
-    def link_model(self) -> LinkModel | None:
-        return self._link_model
 
     @property
     def process_ids(self) -> list[int]:
@@ -367,7 +486,8 @@ class Network:
         """Transmit ``payload`` from ``src`` to ``dst`` (may be ``src`` itself).
 
         The message is delivered after a finite delay drawn from the delay
-        model, never before any earlier message on the same channel.
+        model, never before any earlier message on the same channel —
+        unless the link model drops, duplicates or delays it.
         """
         if dst not in self._inboxes:
             raise NetworkError(f"send to unknown process {dst}")
@@ -375,76 +495,56 @@ class Network:
             raise NetworkError(f"send from unknown process {src}")
         now = self._scheduler.now
         self._messages_sent += 1
-        if self._metrics is not None:
-            self._metrics.inc(MODULE_NETWORK, "messages_sent", pid=src)
-        if self._tamper is not None and src != dst:
-            deliveries = self._tamper(now, src, dst, payload)
-            if deliveries is not None:
-                deliveries = list(deliveries)
-                if not deliveries:
-                    self._drop(now, src, dst, payload, "fault")
-                    return
-                if len(deliveries) > 1:
-                    self._messages_duplicated += len(deliveries) - 1
-                    if self._metrics is not None:
-                        self._metrics.inc(
-                            MODULE_NETWORK,
-                            "messages_duplicated",
-                            len(deliveries) - 1,
-                            pid=src,
-                        )
-                for index, (copy, extra_delay) in enumerate(deliveries):
-                    self._schedule_copy(
-                        now,
-                        src,
-                        dst,
-                        copy,
-                        duplicate=index > 0,
-                        extra_delay=extra_delay,
+        metrics = self._metrics
+        if metrics is not None:
+            metrics.inc(MODULE_NETWORK, "messages_sent", pid=src)
+        copies = None
+        if self._link_model is not None and src != dst:
+            copies = self._link_model.deliveries(now, src, dst, payload)
+        if copies is None:
+            deliver_at = self._schedule_copy(now, src, dst, payload, False)
+        elif not copies:
+            self._drop(now, src, dst, payload)
+            return
+        else:
+            held = self._link_model.held_until(now, src, dst) is not None
+            extra = len(copies) - 1
+            if extra:
+                self._messages_duplicated += extra
+                if metrics is not None:
+                    metrics.inc(
+                        MODULE_NETWORK, "messages_duplicated", extra, pid=src
                     )
-                return
-        links = self._link_model
-        if links is not None and src != dst:
-            if links.severed(now, src, dst):
-                self._drop(now, src, dst, payload, "partition")
-                return
-            if links.loss and self._link_rng.chance(links.loss):
-                self._drop(now, src, dst, payload, "loss")
-                return
-        deliver_at = self._schedule_copy(now, src, dst, payload, duplicate=False)
-        if (
-            links is not None
-            and src != dst
-            and links.duplication
-            and self._link_rng.chance(links.duplication)
-        ):
-            self._messages_duplicated += 1
-            if self._metrics is not None:
-                self._metrics.inc(MODULE_NETWORK, "messages_duplicated", pid=src)
-                self._metrics.inc(MODULE_NETWORK, f"dup[{src}->{dst}]")
-            self._schedule_copy(now, src, dst, payload, duplicate=True)
-        if self._metrics is not None:
-            # Scheduled transfer delay: FIFO back-pressure included, so the
-            # histogram reflects what the receiver actually experiences.
-            self._metrics.observe(
+                    metrics.inc(MODULE_NETWORK, f"dup[{src}->{dst}]", extra)
+            first, first_delay = copies[0]
+            deliver_at = self._schedule_copy(
+                now, src, dst, first, False, first_delay, held
+            )
+            for copy, extra_delay in copies[1:]:
+                self._schedule_copy(
+                    now, src, dst, copy, True, extra_delay, held
+                )
+        if metrics is not None:
+            # Scheduled transfer delay: FIFO back-pressure and any hold the
+            # link imposed included, so the histogram reflects what the
+            # receiver actually experiences.
+            metrics.observe(
                 MODULE_NETWORK, "delivery_latency", deliver_at - now, pid=dst
             )
-            self._metrics.gauge_max(
+            metrics.gauge_max(
                 MODULE_NETWORK,
                 "in_flight_max",
                 self._messages_sent - self._messages_delivered
                 - self._messages_dropped,
             )
 
-    def _drop(self, now: float, src: int, dst: int, payload: Any, reason: str) -> None:
+    def _drop(self, now: float, src: int, dst: int, payload: Any) -> None:
         """The wire destroyed the message: count and trace, never deliver."""
         self._messages_dropped += 1
         if self._metrics is not None:
             self._metrics.inc(MODULE_NETWORK, "messages_dropped", pid=src)
             self._metrics.inc(MODULE_NETWORK, f"drop[{src}->{dst}]")
-        self._trace.record(
-            now, "link-drop", process=src, dst=dst, payload=payload, reason=reason
-        )
+        self._trace.record(now, "link-drop", process=src, dst=dst, payload=payload)
 
     def _schedule_copy(
         self,
@@ -454,8 +554,13 @@ class Network:
         payload: Any,
         duplicate: bool,
         extra_delay: float = 0.0,
+        held: bool = False,
     ) -> float:
-        """Sample a delay and schedule one delivery; returns the timestamp."""
+        """Sample a delay and schedule one delivery; returns the timestamp.
+
+        A ``held`` copy waits ``extra_delay`` (until its partition heals)
+        and then keeps the channel's FIFO order.
+        """
         sample_for = getattr(self._delay_model, "sample_for", None)
         if sample_for is not None:
             delay = sample_for(self._rng, src, dst, payload)
@@ -463,35 +568,20 @@ class Network:
             delay = self._delay_model.sample(self._rng, src, dst)
         if delay < 0:
             raise NetworkError(f"delay model produced negative delay {delay!r}")
-        links = self._link_model
-        reordered = (
-            links is not None
-            and src != dst
-            and links.reorder
-            and self._link_rng.chance(links.reorder)
-        )
         channel = (src, dst)
-        if extra_delay > 0:
-            # A tamper-hook delay escapes the FIFO clamp (and does not
-            # tighten it) exactly like a burst reordering, so later
-            # traffic on the channel may overtake the delayed copy.
+        if extra_delay > 0 and not held:
+            # A delayed copy (burst reordering, timing attack) escapes the
+            # FIFO clamp and does not tighten it, so later traffic on the
+            # channel may overtake it.
             deliver_at = now + delay + extra_delay
-            if self._metrics is not None:
-                self._metrics.inc(MODULE_NETWORK, "messages_reordered", pid=src)
-        elif reordered:
-            # A burst reordering: the copy escapes the FIFO clamp (and does
-            # not tighten it), so later traffic on the channel may overtake.
-            deliver_at = now + delay + self._link_rng.uniform(
-                0.0, links.reorder_spread
-            )
             if self._metrics is not None:
                 self._metrics.inc(MODULE_NETWORK, "messages_reordered", pid=src)
         elif self._fifo:
             earliest = self._last_delivery.get(channel, 0.0) + _FIFO_EPSILON
-            deliver_at = max(now + delay, earliest)
+            deliver_at = max(now + delay + extra_delay, earliest)
             self._last_delivery[channel] = deliver_at
         else:
-            deliver_at = now + delay
+            deliver_at = now + delay + extra_delay
         self._trace.record(
             now,
             "send",

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.observability.registry import MetricsRegistry
-from repro.sim.network import DelayModel, LinkModel, Network, TamperHook
+from repro.sim.network import DelayModel, LinkFaults, LinkModel, Network
 from repro.sim.process import Process, ProcessEnv
 from repro.sim.scheduler import RunResult, Scheduler
 from repro.sim.trace import Trace
@@ -23,12 +23,37 @@ from repro.sim.transport import ReliableTransport
 TRANSPORTS = ("none", "reliable", "no-retransmit")
 
 
+def check_wire(link_model: LinkFaults | None, transport: str) -> None:
+    """Refuse an unknown transport and a duplicating raw wire.
+
+    The paper's channels never duplicate. On the raw fabric a duplicate
+    copy looks like its sender sending twice, which the non-muteness
+    monitors convict, so a duplicating :class:`LinkModel` needs a
+    transport that suppresses wire duplicates (any but ``"none"``).
+    """
+    if transport not in TRANSPORTS:
+        raise ConfigurationError(
+            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
+        )
+    if (
+        transport == "none"
+        and isinstance(link_model, LinkModel)
+        and link_model.duplication
+    ):
+        raise ConfigurationError(
+            "a duplicating wire needs a transport (e.g. transport='reliable'): "
+            "on the raw wire a duplicate reads as its sender sending twice"
+        )
+
+
 class World:
     """A closed system of ``n`` processes over a reliable FIFO network.
 
-    With a faulty :class:`LinkModel` installed, the channels are only
-    reliable again if ``transport="reliable"`` slides a
-    :class:`ReliableTransport` between the processes and the wire;
+    With a faulty link model installed (a
+    :class:`~repro.sim.network.LinkModel`, or the fault-plan injector on
+    the simulator's clock), the channels are only reliable again if
+    ``transport="reliable"`` slides a :class:`ReliableTransport` between
+    the processes and the wire;
     ``transport="no-retransmit"`` is the ablation that frames and acks
     but never resends, and ``"none"`` exposes the raw fabric.
     """
@@ -39,18 +64,14 @@ class World:
         seed: int = 0,
         delay_model: DelayModel | None = None,
         fifo: bool = True,
-        link_model: LinkModel | None = None,
+        link_model: LinkFaults | None = None,
         transport: str = "none",
         transport_rto: float = 4.0,
         transport_retry_limit: int = 20,
-        tamper: TamperHook | None = None,
     ) -> None:
         if not processes:
             raise ConfigurationError("a world needs at least one process")
-        if transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-            )
+        check_wire(link_model, transport)
         self.scheduler = Scheduler(seed=seed)
         self.trace = Trace()
         self.metrics = MetricsRegistry()
@@ -62,7 +83,6 @@ class World:
             fifo=fifo,
             metrics=self.metrics,
             link_model=link_model,
-            tamper=tamper,
         )
         self.transport: ReliableTransport | None = None
         fabric: Network | ReliableTransport = self.network

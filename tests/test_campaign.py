@@ -131,6 +131,8 @@ class TestScenarioRoundTrip:
             {"variant": "mystery"},
             {"collusion": "amplified-equivocation"},  # needs F >= 2
             {"attacks": ((0, "mute"), (1, "mute"))},  # exceeds F=1
+            {"transport": "carrier-pigeon"},
+            {"dup": 0.1},  # a duplicating raw wire
         ],
     )
     def test_validate_rejects_inconsistencies(self, overrides):
@@ -451,6 +453,7 @@ class TestCli:
             ["campaign", "replay", "sdeadbeef0000", "--artifact", "/no/file"],
             ["run", "--protocol", "transformed", "--crash", "0:soon"],
             ["run", "--protocol", "transformed", "--attack", "juststring"],
+            ["run", "--protocol", "transformed", "--dup", "0.1"],
         ],
     )
     def test_invalid_configs_exit_two(self, argv, capsys):

@@ -8,7 +8,7 @@ signed/certified messages.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.certificates import Certificate, EMPTY_CERTIFICATE, SignedMessage
 from repro.crypto.encoding import canonical_bytes
@@ -35,12 +35,38 @@ encodable = st.recursive(
 )
 
 
+def strictly_equal(a, b) -> bool:
+    """Type-strict structural equality: the equality the encoding respects.
+
+    Python's ``==`` equates ``False``, ``0`` and ``0.0`` (and ``True``,
+    ``1`` and ``1.0``), which the canonical encoding tells apart on
+    purpose; so two values count as equal here only if their types
+    match at every level.
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(strictly_equal, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            strictly_equal(a[key], b[key]) for key in a
+        )
+    return a == b
+
+
+# Counterexamples to a plain ``==`` oracle: equal in Python, encoded apart.
+BOOL_VS_INT_LEAF = ((False, False, False), (False, False, 0))
+BOOL_VS_INT = (1, True)
+
+
 class TestEncodingRoundTrip:
     @given(encodable, encodable)
+    @example(*BOOL_VS_INT_LEAF)
+    @example(*BOOL_VS_INT)
     def test_injective(self, a, b):
         # The encoding is a bijection onto its image over this domain:
         # equal values encode equally, distinct values distinctly.
-        if a == b:
+        if strictly_equal(a, b):
             assert canonical_bytes(a) == canonical_bytes(b)
         else:
             assert canonical_bytes(a) != canonical_bytes(b)
@@ -61,12 +87,14 @@ class TestSignVerifyRoundTrip:
 
     @given(value=encodable, other=encodable, signer=st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
+    @example(*BOOL_VS_INT_LEAF, 0)
+    @example(*BOOL_VS_INT, 0)
     def test_signature_does_not_transfer_to_other_values(
         self, value, other, signer
     ):
         scheme = SignatureScheme(KeyAuthority(4))
         signature = scheme.sign(scheme.authority.signer_for(signer), value)
-        assert scheme.verify(other, signature) == (value == other)
+        assert scheme.verify(other, signature) == strictly_equal(value, other)
 
     @given(value=encodable, signer=st.integers(0, 3), claimed=st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -97,6 +125,8 @@ class TestTamperedCertificates:
 
     @given(value=encodable, other=encodable)
     @settings(max_examples=40, deadline=None)
+    @example(*BOOL_VS_INT_LEAF)
+    @example(*BOOL_VS_INT)
     def test_tampered_body_rejected(self, value, other):
         bench = SignedWorkbench(4)
         message = bench.authorities[1].make(
@@ -107,7 +137,7 @@ class TestTamperedCertificates:
             cert=message.cert,
             signature=message.signature,
         )
-        assert bench.verify(tampered) == (value == other)
+        assert bench.verify(tampered) == strictly_equal(value, other)
 
     def test_tampered_certificate_rejected(self):
         # The signature covers the certificate digest: swapping the

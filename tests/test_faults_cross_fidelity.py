@@ -224,3 +224,29 @@ class TestRehunt:
         plan = FaultPlan(name="tiny", seed=2, requests=6, duration=6.0)
         with pytest.raises(ConfigurationError):
             run_cross_fidelity((plan,), ("sim",), rehunt=-1)
+
+
+class TestSimDeliveryMetrics:
+    def test_link_noise_plan_records_every_delivery_latency(self):
+        # A fault plan's link faults go through the network's one fault
+        # path, so every message that survives the wire records its
+        # scheduled delivery latency, replica links included.
+        from repro.faults.sim_runner import SIM_TIME_SCALE, build_sim_system
+        from repro.observability.registry import MODULE_NETWORK
+
+        plan = FaultPlan(
+            name="noise", seed=3, requests=6, loss=0.1, duplication=0.1
+        )
+        system, _, _ = build_sim_system(plan)
+        world = system.world
+        world.run(max_time=plan.duration * SIM_TIME_SCALE)
+        network = world.network
+        observed = sum(
+            summary[0]  # a histogram is [count, sum, min, max]
+            for (module, name, _, _), summary in world.metrics.iter_histograms()
+            if (module, name) == (MODULE_NETWORK, "delivery_latency")
+        )
+        assert network.messages_dropped > 0
+        assert observed == network.messages_sent - network.messages_dropped
+        in_flight = dict(world.metrics.iter_gauges())
+        assert in_flight[(MODULE_NETWORK, "in_flight_max", None, None)] > 0

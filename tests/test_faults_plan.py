@@ -286,3 +286,145 @@ class TestInjectorDeterminism:
         assert held == [("cross", 2.0)]  # delivered at the heal, t=5
         assert injector.plan_deliveries(3.0, 0, 1, "same-side") is None
         assert injector.plan_deliveries(5.0, 0, 2, "after") is None
+
+
+class TestInjectorDecisionStream:
+    """Pins the injector's decision stream, draw for draw.
+
+    One plan covers every stage: loss, duplication and reorder; a
+    partition window that overlaps a flip clause; a message-adversary
+    suppression clause; and a timing clause. Sends cover all 12 directed
+    replica links. The fingerprint below hashes every decision and the
+    injector's counters, so any change in what is drawn, or in which
+    order, changes it.
+    """
+
+    PLAN = FaultPlan(
+        name="decision-stream",
+        seed=13,
+        duration=10.0,
+        loss=0.15,
+        duplication=0.25,
+        reorder=0.3,
+        reorder_spread=0.5,
+        partitions=((2.0, 4.0, "0,1|2,3"),),
+        flips=((0, 3.0, 6),),
+        suppressions=((1, 1.0, 5.0, 7.0),),
+        timing=((3, 6.0, 8.0, 0.4),),
+    )
+    FINGERPRINT = (
+        "2a2897f44b01fbaf905c7ad04a290e14de033f8c32f8e53b2d5e715e28333637"
+    )
+
+    def _stream(self):
+        from repro.observability.registry import (
+            MODULE_FAULTS,
+            MODULE_ZOO,
+            MetricsRegistry,
+        )
+
+        bench = SignedWorkbench(4)
+        signed = [
+            bench.authorities[pid].make(
+                VCurrent(
+                    sender=pid, round=1, est_vect=bench.vector_for([0, 1, 2])
+                )
+            )
+            for pid in range(4)
+        ]
+        registry = MetricsRegistry()
+        injector = LinkFaultInjector(self.PLAN, registry=registry)
+        links = [(s, d) for s in range(4) for d in range(4) if s != d]
+        decisions = []
+        for step in range(40):
+            now = step * 0.25
+            for src, dst in links:
+                payload = signed[src]
+                out = injector.plan_deliveries(now, src, dst, payload)
+                decisions.append(
+                    (
+                        now,
+                        src,
+                        dst,
+                        None
+                        if out is None
+                        else [
+                            ("same" if copy is payload else "flip", repr(delay))
+                            for copy, delay in out
+                        ],
+                    )
+                )
+        counters = {
+            "drops": dict(injector.drops),
+            "partition_delays": injector.partition_delays,
+            "duplicates": injector.duplicates,
+            "reorders": injector.reorders,
+            "flips_injected": injector.flips_injected,
+            "suppressed": injector.suppressed,
+            "timing_delays": injector.timing_delays,
+            "registry": [
+                (module, name, registry.counter_total(module, name))
+                for module, name in (
+                    (MODULE_FAULTS, "mute_drops"),
+                    (MODULE_FAULTS, "loss_drops"),
+                    (MODULE_FAULTS, "partition_delays"),
+                    (MODULE_FAULTS, "dup_copies"),
+                    (MODULE_FAULTS, "reorder_delays"),
+                    (MODULE_FAULTS, "arb_faults_injected"),
+                    (MODULE_ZOO, "suppressed_deliveries"),
+                    (MODULE_ZOO, "timing_delays"),
+                )
+            ],
+        }
+        return decisions, counters
+
+    def test_decision_stream_fingerprint(self):
+        import hashlib
+
+        decisions, counters = self._stream()
+        blob = json.dumps([decisions, counters], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.FINGERPRINT
+
+    def test_every_stage_fires(self):
+        _, counters = self._stream()
+        assert counters["drops"]["loss"] > 0
+        assert counters["partition_delays"] > 0
+        assert counters["duplicates"] > 0
+        assert counters["reorders"] > 0
+        assert counters["flips_injected"] == 6
+        assert counters["suppressed"] > 0
+        assert counters["timing_delays"] > 0
+
+    def test_withheld_messages_are_never_flipped(self):
+        decisions, _ = self._stream()
+        # Pid 0 flips from t=3.0; the cut {0,1}|{2,3} lasts until t=4.0.
+        held = [
+            (now, out)
+            for now, src, dst, out in decisions
+            if src == 0 and dst in (2, 3) and 3.0 <= now < 4.0
+        ]
+        assert held
+        assert all(out == [("same", repr(4.0 - now))] for now, out in held)
+
+    def test_flips_hit_every_surviving_copy_and_no_lost_message(self):
+        decisions, _ = self._stream()
+        flipped = [
+            out
+            for _, src, _, out in decisions
+            if out and any(label == "flip" for label, _ in out)
+        ]
+        assert len(flipped) == 6
+        # A flip lands on every copy of its message, duplicates included.
+        assert all(
+            all(label == "flip" for label, _ in out) for out in flipped
+        )
+        assert any(len(out) > 1 for out in flipped)
+        # The budget is spent only on messages that survived loss: the
+        # first six surviving, non-withheld sends of pid 0 from t=3.0.
+        candidates = [
+            out
+            for now, src, dst, out in decisions
+            if src == 0 and now >= 3.0 and out != []
+            and not (now < 4.0 and dst in (2, 3))
+        ]
+        assert candidates[:6] == flipped

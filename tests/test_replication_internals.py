@@ -125,21 +125,46 @@ class TestDeliveryRegressions:
         assert replica.applied_slots == applied_before
 
     def test_duplicating_links_do_not_break_convergence(self):
+        # The paper's channels never duplicate: on the raw wire a copy
+        # reads as its sender sending twice and the non-muteness monitors
+        # convict it, after which most seeds stall. A raw duplicating wire
+        # is therefore refused instead of run.
+        from repro.errors import ConfigurationError
         from repro.sim.network import LinkModel
 
-        commands = [
-            [Command("set", f"k{pid}-{i}", i) for i in range(2)]
-            for pid in range(4)
-        ]
+        with pytest.raises(ConfigurationError, match="duplicating wire"):
+            build_replicated_system(
+                self._duplicate_commands(),
+                target_slots=2,
+                seed=13,
+                delay_model=FixedDelay(0.4),
+                link_model=LinkModel(duplication=0.3),
+            )
+
+    def test_duplicating_links_converge_behind_reliable_transport(self):
+        # The reliable transport suppresses wire duplicates, and behind it
+        # the log converges.
+        from repro.sim.network import LinkModel
+
         system = build_replicated_system(
-            commands,
+            self._duplicate_commands(),
             target_slots=2,
             seed=13,
             delay_model=FixedDelay(0.4),
             link_model=LinkModel(duplication=0.3),
+            transport="reliable",
         )
         system.run(max_time=2_000)
         assert system.converged()
+        assert system.world.network.messages_duplicated > 0
+        assert system.world.transport.duplicates_suppressed > 0
+
+    @staticmethod
+    def _duplicate_commands() -> list[list[Command]]:
+        return [
+            [Command("set", f"k{pid}-{i}", i) for i in range(2)]
+            for pid in range(4)
+        ]
 
     def test_out_of_order_decision_applies_in_slot_order(self):
         # Slot 2 deciding before slots 0/1 must wait in the buffer; the

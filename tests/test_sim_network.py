@@ -212,7 +212,6 @@ class TestLinkModel:
         assert network.messages_dropped == 100 - delivered
         assert network.messages_delivered == delivered
         assert network._trace.count("link-drop") == network.messages_dropped
-        assert network._trace.first("link-drop").detail["reason"] == "loss"
 
     def test_duplication_delivers_extra_copies(self):
         model = LinkModel(duplication=0.5)
@@ -225,22 +224,54 @@ class TestLinkModel:
         # First-copy accounting stays exact despite the duplicates.
         assert network.messages_delivered == 60
 
-    def test_partition_drops_cross_group_then_heals(self):
+    def test_partition_withholds_cross_group_until_heal(self):
         model = LinkModel(
             partitions=(Partition(start=0.0, heal=50.0, groups=((0,), (1,))),)
         )
         scheduler, network, inboxes = make_network(
             delay_model=FixedDelay(1.0), link_model=model
         )
-        network.send(0, 1, "cut")  # t=0: severed
+        network.send(0, 1, "cut")  # t=0: severed, held until the heal
         network.send(0, 2, "side")  # 2 is in no group: unaffected
         scheduler.schedule_at(60.0, "probe", lambda: network.send(0, 1, "healed"))
         scheduler.run()
-        assert inboxes[1] == [(0, "healed")]
+        assert inboxes[1] == [(0, "cut"), (0, "healed")]
         assert inboxes[2] == [(0, "side")]
-        assert network._trace.first("link-drop").detail["reason"] == "partition"
+        assert network.messages_dropped == 0
+        held = [
+            e for e in network._trace
+            if e.kind == "deliver" and e.detail["payload"] == "cut"
+        ]
+        assert held[0].time == 51.0  # the heal plus the link's own delay
         assert network._trace.count("partition-start") == 1
         assert network._trace.count("partition-heal") == 1
+
+    def test_withheld_traffic_keeps_fifo_order_across_the_heal(self):
+        # Held copies are released in send order and traffic sent just
+        # after the heal queues behind them, whatever the sampled delays.
+        model = LinkModel(
+            partitions=(Partition(start=0.0, heal=50.0, groups=((0,), (1,))),)
+        )
+        scheduler, network, inboxes = make_network(
+            delay_model=UniformDelay(0.5, 10.0), link_model=model, seed=4
+        )
+        for i in range(30):
+            scheduler.schedule_at(
+                float(i), "probe", lambda i=i: network.send(0, 1, i)
+            )
+        for i in range(30, 40):
+            scheduler.schedule_at(
+                50.0 + (i - 30) * 0.01,
+                "probe",
+                lambda i=i: network.send(0, 1, i),
+            )
+        scheduler.run()
+        assert [msg for _, msg in inboxes[1]] == list(range(40))
+        delivered = [
+            e.time for e in network._trace
+            if e.kind == "deliver" and e.detail["src"] == 0
+        ]
+        assert min(delivered) >= 50.5  # nothing crossed before the heal
 
     def test_self_channel_never_faulted(self):
         model = LinkModel(loss=0.99, duplication=0.5)
